@@ -11,11 +11,8 @@ from .data import ExampleSet, gen_far_ood, gen_in_domain, gen_shifted
 from .dirichlet import (
     ConcentrationParams,
     digamma,
-    dirichlet_log_density,
-    expected_posterior,
     logits_to_alpha,
     mutual_information,
-    posterior_entropy,
 )
 from .losses import ObjectiveConfig, OodTerm, loss_in, loss_out
 from .network import FeedForwardModel, backward, forward, init_model
@@ -24,7 +21,6 @@ from .pipeline import (
     auroc,
     calibrate_threshold,
     route_decision,
-    score,
     score_set,
 )
 from .training import TrainConfig, evaluate_accuracy, train
@@ -38,11 +34,8 @@ __all__ = [
     "gen_shifted",
     "ConcentrationParams",
     "digamma",
-    "dirichlet_log_density",
-    "expected_posterior",
     "logits_to_alpha",
     "mutual_information",
-    "posterior_entropy",
     "ObjectiveConfig",
     "OodTerm",
     "loss_in",
@@ -55,7 +48,6 @@ __all__ = [
     "auroc",
     "calibrate_threshold",
     "route_decision",
-    "score",
     "score_set",
     "TrainConfig",
     "evaluate_accuracy",

@@ -15,13 +15,8 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import data, network, pipeline, training
+from .data import _fmt
 from .losses import ObjectiveConfig, OodTerm
-
-DATASET_FILES = ("in_train.csv", "in_val.csv", "in_test.csv", "shifted_test.csv", "far_ood.csv")
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
@@ -135,8 +130,6 @@ def _calibrated_thresholds(
     return pipeline.ScreeningThresholds(
         tau_d=pipeline.calibrate_threshold(s_d, cfg.screening.drop_fraction_detector),
         tau_c=pipeline.calibrate_threshold(s_c, cfg.screening.drop_fraction_classifier),
-        percentile_d=cfg.screening.drop_fraction_detector,
-        percentile_c=cfg.screening.drop_fraction_classifier,
     )
 
 

@@ -6,8 +6,11 @@ a stored config fully determines every artifact the commands write.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -28,26 +31,6 @@ SCHEMA_VERSION = "dpn-exp-v1"
 
 # Names the training command can resolve to an OOD exposure set.
 KNOWN_SOURCES = ("far_ood", "shifted_train")
-
-
-def _require(mapping: dict, key: str, where: str):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ValueError(f"config: missing key {key!r} in {where}")
-    return mapping[key]
-
-
-def _num(mapping: dict, key: str, where: str) -> float:
-    value = _require(mapping, key, where)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        raise ValueError(f"config: {where}.{key} must be a finite number")
-    return float(value)
-
-
-def _int(mapping: dict, key: str, where: str) -> int:
-    value = _require(mapping, key, where)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"config: {where}.{key} must be an integer")
-    return value
 
 
 @dataclass(frozen=True)
@@ -190,121 +173,82 @@ def default_config(out_dir: str = "runs/default") -> ExperimentConfig:
     )
 
 
-def _role_to_dict(role: RoleConfig) -> dict:
-    return {
-        "lambda_in": role.lambda_in,
-        "ood_sources": [
-            {"name": s.name, "gamma": s.gamma, "lambda_out": s.lambda_out}
-            for s in role.ood_sources
-        ],
-        "epochs": role.epochs,
-        "batch_size": role.batch_size,
-        "learning_rate": role.learning_rate,
-        "momentum": role.momentum,
-        "seed": role.seed,
-        "init_seed": role.init_seed,
-    }
+# JSON scalar check for each declared field type: (what it must be, test)
+_SCALARS = {
+    str: ("a string", lambda v: isinstance(v, str)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: (
+        "a finite number",
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+    ),
+}
 
 
-def _role_from_dict(d: dict, where: str) -> RoleConfig:
-    sources = _require(d, "ood_sources", where)
-    if not isinstance(sources, list):
-        raise ValueError(f"config: {where}.ood_sources must be a list")
-    parsed = tuple(
-        OodSourceConfig(
-            str(_require(s, "name", f"{where}.ood_sources")),
-            _num(s, "gamma", f"{where}.ood_sources"),
-            _num(s, "lambda_out", f"{where}.ood_sources"),
-        )
-        for s in sources
-    )
-    return RoleConfig(
-        lambda_in=_num(d, "lambda_in", where),
-        ood_sources=parsed,
-        epochs=_int(d, "epochs", where),
-        batch_size=_int(d, "batch_size", where),
-        learning_rate=_num(d, "learning_rate", where),
-        momentum=_num(d, "momentum", where),
-        seed=_int(d, "seed", where),
-        init_seed=_int(d, "init_seed", where),
-    )
+@functools.cache
+def _fields(cls) -> tuple:
+    """(name, type, optional) for each field of a config dataclass.
+
+    A field declared X | None comes out as (name, X, True). Cached
+    because resolving the type hints costs more than a whole load.
+    """
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in dataclasses.fields(cls):
+        args = typing.get_args(hints[f.name])
+        optional = type(None) in args
+        out.append((f.name, args[0] if optional else hints[f.name], optional))
+    return tuple(out)
+
+
+def _to_json(value):
+    """JSON form of a config value; fields set to None (absent roles) are left out."""
+    if dataclasses.is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
+        return {name: _to_json(v) for name, v in items if v is not None}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+def _from_json(tp, value, where: str):
+    """Check a JSON value against the declared type tp and build it.
+
+    where is the key path, used in every error message. A field whose
+    type admits None may be left out and then takes None.
+    """
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ValueError(f"config: {where} must be an object")
+        kwargs = {}
+        for name, hint, optional in _fields(tp):
+            if name in value:
+                kwargs[name] = _from_json(hint, value[name], f"{where}.{name}" if where else name)
+            elif optional:
+                kwargs[name] = None
+            else:
+                raise ValueError(f"config: missing key {name!r} in {where or 'config'}")
+        return tp(**kwargs)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"config: {where} must be a list")
+        item = typing.get_args(tp)[0]
+        return tuple(_from_json(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    kind, accepts = _SCALARS[tp]
+    if not accepts(value):
+        raise ValueError(f"config: {where} must be {kind}")
+    return tp(value)
 
 
 def to_dict(cfg: ExperimentConfig) -> dict:
-    ds = cfg.dataset
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "out_dir": cfg.out_dir,
-        "dataset": {
-            "classes": ds.classes,
-            "train": ds.train,
-            "val": ds.val,
-            "test": ds.test,
-            "seed": ds.seed,
-            "shift": ds.shift,
-            "scale": ds.scale,
-            "shifted_test": ds.shifted_test,
-            "shifted_seed": ds.shifted_seed,
-            "shifted_train": ds.shifted_train,
-            "shifted_train_seed": ds.shifted_train_seed,
-            "far_ood": ds.far_ood,
-            "far_ood_seed": ds.far_ood_seed,
-        },
-        "model": {"hidden": list(cfg.model.hidden), "activation": cfg.model.activation},
-        "screening": {
-            "drop_fraction_detector": cfg.screening.drop_fraction_detector,
-            "drop_fraction_classifier": cfg.screening.drop_fraction_classifier,
-        },
-        "evaluation": {"drop_fractions": list(cfg.evaluation.drop_fractions)},
-    }
-    if cfg.classifier is not None:
-        out["classifier"] = _role_to_dict(cfg.classifier)
-    if cfg.detector is not None:
-        out["detector"] = _role_to_dict(cfg.detector)
-    return out
+    return {"schema_version": SCHEMA_VERSION, **_to_json(cfg)}
 
 
 def from_dict(d: dict) -> ExperimentConfig:
-    version = _require(d, "schema_version", "config")
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"config: unsupported schema_version {version!r}")
-    ds = _require(d, "dataset", "config")
-    where = "dataset"
-    dataset = DatasetConfig(
-        classes=_int(ds, "classes", where),
-        train=_int(ds, "train", where),
-        val=_int(ds, "val", where),
-        test=_int(ds, "test", where),
-        seed=_int(ds, "seed", where),
-        shift=_num(ds, "shift", where),
-        scale=_num(ds, "scale", where),
-        shifted_test=_int(ds, "shifted_test", where),
-        shifted_seed=_int(ds, "shifted_seed", where),
-        shifted_train=_int(ds, "shifted_train", where),
-        shifted_train_seed=_int(ds, "shifted_train_seed", where),
-        far_ood=_int(ds, "far_ood", where),
-        far_ood_seed=_int(ds, "far_ood_seed", where),
-    )
-    md = _require(d, "model", "config")
-    model = ModelConfig(tuple(_require(md, "hidden", "model")), str(_require(md, "activation", "model")))
-    sc = _require(d, "screening", "config")
-    screening = ScreeningConfig(
-        _num(sc, "drop_fraction_detector", "screening"),
-        _num(sc, "drop_fraction_classifier", "screening"),
-    )
-    ev = _require(d, "evaluation", "config")
-    evaluation = EvalConfig(tuple(_require(ev, "drop_fractions", "evaluation")))
-    classifier = _role_from_dict(d["classifier"], "classifier") if "classifier" in d else None
-    detector = _role_from_dict(d["detector"], "detector") if "detector" in d else None
-    return ExperimentConfig(
-        out_dir=str(_require(d, "out_dir", "config")),
-        dataset=dataset,
-        model=model,
-        classifier=classifier,
-        detector=detector,
-        screening=screening,
-        evaluation=evaluation,
-    )
+    if not isinstance(d, dict) or "schema_version" not in d:
+        raise ValueError("config: missing key 'schema_version' in config")
+    if d["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(f"config: unsupported schema_version {d['schema_version']!r}")
+    return _from_json(ExperimentConfig, d, "")
 
 
 def load_config(path) -> ExperimentConfig:

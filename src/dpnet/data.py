@@ -1,4 +1,4 @@
-"""Synthetic benchmark data, CSV/PGM serialization, and the median filter.
+"""Synthetic benchmark data, CSV serialization, and the median filter.
 
 In-domain data is K unit-variance Gaussian clusters centered on a
 radius-4 circle. The shifted generator reuses the same code path with
@@ -20,17 +20,13 @@ __all__ = [
     "RING_RADIUS",
     "RING_NOISE",
     "ExampleSet",
-    "DatasetSplit",
     "GrayImage",
     "gen_in_domain",
     "gen_shifted",
     "gen_far_ood",
-    "split",
     "load_csv",
     "save_csv",
     "median_filter",
-    "load_pgm",
-    "save_pgm",
 ]
 
 CLUSTER_RADIUS = 4.0
@@ -66,18 +62,6 @@ class ExampleSet:
     @property
     def dim(self) -> int:
         return int(self.features.shape[1])
-
-    def subset(self, indices) -> "ExampleSet":
-        idx = np.asarray(indices)
-        labels = None if self.labels is None else self.labels[idx]
-        return ExampleSet(self.features[idx], labels)
-
-
-@dataclass
-class DatasetSplit:
-    train: ExampleSet
-    validation: ExampleSet
-    test: ExampleSet
 
 
 def _cluster_centers(classes: int) -> np.ndarray:
@@ -119,31 +103,6 @@ def gen_far_ood(n: int, seed: int) -> ExampleSet:
     theta = rng.uniform(0.0, 2.0 * math.pi, n)
     radius = RING_RADIUS + rng.uniform(-RING_NOISE, RING_NOISE, n)
     return ExampleSet(np.column_stack([radius * np.cos(theta), radius * np.sin(theta)]))
-
-
-def split(examples: ExampleSet, fractions, seed: int) -> DatasetSplit:
-    """Seeded shuffle, then contiguous train/validation/test partition.
-
-    Validation and test sizes are floor-rounded; the remainder goes to
-    train.
-    """
-    fracs = tuple(float(f) for f in fractions)
-    if len(fracs) != 3 or any(f <= 0.0 for f in fracs):
-        raise ValueError("fractions must be three positive values")
-    if abs(sum(fracs) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
-    n = len(examples)
-    if n < 3:
-        raise ValueError("need at least 3 examples to split")
-    perm = np.random.default_rng(seed).permutation(n)
-    n_val = math.floor(fracs[1] * n)
-    n_test = math.floor(fracs[2] * n)
-    n_train = n - n_val - n_test
-    return DatasetSplit(
-        examples.subset(perm[:n_train]),
-        examples.subset(perm[n_train : n_train + n_val]),
-        examples.subset(perm[n_train + n_val :]),
-    )
 
 
 def _fmt(x: float) -> str:
@@ -248,35 +207,3 @@ def median_filter(img: GrayImage, window: int) -> GrayImage:
     padded = np.pad(img.pixels, r, mode="edge")
     windows = sliding_window_view(padded, (window, window))
     return GrayImage(img.width, img.height, np.median(windows, axis=(2, 3)))
-
-
-def save_pgm(img: GrayImage, path) -> None:
-    """Write an ASCII (P2) PGM with maxval 255."""
-    levels = np.clip(np.rint(img.pixels * 255.0), 0, 255).astype(int)
-    rows = [" ".join(str(v) for v in row) for row in levels]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"P2\n{img.width} {img.height}\n255\n")
-        fh.write("\n".join(rows) + "\n")
-
-
-def load_pgm(path) -> GrayImage:
-    """Read an ASCII (P2) PGM, scaling intensities to [0, 1]."""
-    tokens = []
-    with open(path) as fh:
-        for line in fh:
-            body = line.split("#", 1)[0]
-            tokens.extend(body.split())
-    if not tokens or tokens[0] != "P2":
-        raise ValueError(f"{path}: not an ASCII PGM (P2) file")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
-        values = np.array([int(t) for t in tokens[4:]], dtype=float)
-    except ValueError:
-        raise ValueError(f"{path}: malformed PGM payload") from None
-    if width < 1 or height < 1 or maxval < 1:
-        raise ValueError(f"{path}: bad PGM dimensions")
-    if values.size != width * height:
-        raise ValueError(f"{path}: expected {width * height} pixels, found {values.size}")
-    if values.min() < 0 or values.max() > maxval:
-        raise ValueError(f"{path}: pixel outside [0, {maxval}]")
-    return GrayImage(width, height, values.reshape(height, width) / maxval)

@@ -3,10 +3,10 @@
 A length-K logit vector z maps to Dirichlet concentration parameters
 alpha_k = exp(z_k), so a single forward pass yields a distribution over
 the probability simplex rather than a point prediction. Everything
-derived from those concentrations lives here: the expected posterior,
-the log density, the mutual information between the label and the
-simplex draw (the distributional-uncertainty score), posterior entropy,
-and the digamma function the mutual information needs.
+derived from those concentrations lives here: the mutual information
+between the label and the simplex draw (the distributional-uncertainty
+score), the digamma function it needs, and the density on a lattice
+of simplex points.
 
 All functions are pure and safe to call concurrently.
 """
@@ -22,17 +22,12 @@ __all__ = [
     "DEFAULT_LOGIT_CLAMP",
     "ConcentrationParams",
     "logits_to_alpha",
-    "expected_posterior",
-    "dirichlet_log_density",
     "digamma",
     "mutual_information",
-    "posterior_entropy",
     "density_grid",
 ]
 
 DEFAULT_LOGIT_CLAMP = 30.0  # exp(+-30) stays comfortably inside float64 range
-
-_SIMPLEX_ATOL = 1e-9
 
 # Digamma: arguments below _ASYMPTOTIC_START are shifted up with
 # psi(x) = psi(x + 1) - 1/x, then the de Moivre expansion
@@ -96,29 +91,6 @@ def logits_to_alpha(z, clamp: float = DEFAULT_LOGIT_CLAMP) -> ConcentrationParam
     return ConcentrationParams(alpha, float(alpha.sum()))
 
 
-def expected_posterior(params: ConcentrationParams) -> np.ndarray:
-    """Mean of the Dirichlet: p_k = alpha_k / alpha_0."""
-    return params.alpha / params.precision
-
-
-def dirichlet_log_density(mu, params: ConcentrationParams) -> float:
-    """Log density of the Dirichlet at a strictly interior simplex point.
-
-    log p(mu) = lgamma(alpha_0) - sum_k lgamma(alpha_k)
-                + sum_k (alpha_k - 1) ln mu_k
-    """
-    point = _as_vector(mu, "mu")
-    if point.size != params.num_classes:
-        raise ValueError("mu and alpha must have the same length")
-    if abs(point.sum() - 1.0) > _SIMPLEX_ATOL:
-        raise ValueError("mu must sum to 1")
-    if np.any(point <= 0.0):
-        raise ValueError("mu must be strictly interior (all entries > 0)")
-    alpha = params.alpha
-    norm = math.lgamma(params.precision) - sum(math.lgamma(a) for a in alpha)
-    return float(norm + ((alpha - 1.0) * np.log(point)).sum())
-
-
 def digamma(x):
     """Digamma psi(x) = d/dx ln Gamma(x) for x > 0.
 
@@ -126,20 +98,6 @@ def digamma(x):
     with the recurrence psi(x) = psi(x + 1) - 1/x until the asymptotic
     expansion applies; accuracy is ~1e-13 absolute on [1e-3, 1e6].
     """
-    if np.ndim(x) == 0:
-        v = float(x)
-        if not math.isfinite(v) or v <= 0.0:
-            raise ValueError("digamma requires x > 0")
-        acc = 0.0
-        while v < _ASYMPTOTIC_START:
-            acc -= 1.0 / v
-            v += 1.0
-        r = 1.0 / (v * v)
-        tail = 0.0
-        for c in reversed(_TAIL):
-            tail = r * (c + tail)
-        return acc + math.log(v) - 0.5 / v - tail
-
     arr = np.array(x, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("digamma requires x > 0")
@@ -155,7 +113,8 @@ def digamma(x):
     tail = np.zeros_like(v)
     for c in reversed(_TAIL):
         tail = r * (c + tail)
-    return acc + np.log(v) - 0.5 / v - tail
+    out = acc + np.log(v) - 0.5 / v - tail
+    return float(out) if out.ndim == 0 else out
 
 
 def _mutual_information_rows(alpha: np.ndarray) -> np.ndarray:
@@ -177,17 +136,6 @@ def mutual_information(params: ConcentrationParams) -> float:
     multi-modal ones (all alpha_k << 1).
     """
     return float(_mutual_information_rows(params.alpha[None, :])[0])
-
-
-def posterior_entropy(p) -> float:
-    """Shannon entropy -sum p_k ln p_k with the 0 ln 0 = 0 convention."""
-    arr = _as_vector(p, "p")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("p entries must lie in [0, 1]")
-    if abs(arr.sum() - 1.0) > _SIMPLEX_ATOL:
-        raise ValueError("p must sum to 1")
-    pos = arr[arr > 0.0]
-    return float(-(pos * np.log(pos)).sum())
 
 
 def density_grid(params: ConcentrationParams, resolution: int) -> tuple[np.ndarray, np.ndarray]:

@@ -176,13 +176,6 @@ def backward(model: FeedForwardModel, x, dL_dz) -> GradientSet:
     return _backward_cached(model, pre, acts, dz[None, :])
 
 
-def zero_gradients(model: FeedForwardModel) -> GradientSet:
-    return GradientSet(
-        [np.zeros_like(w) for w in model.weights],
-        [np.zeros_like(b) for b in model.biases],
-    )
-
-
 def save_checkpoint(model: FeedForwardModel, path) -> None:
     """Write a model as a versioned header plus little-endian float64 blob."""
     header = "\n".join(
@@ -200,7 +193,8 @@ def save_checkpoint(model: FeedForwardModel, path) -> None:
 
 def load_checkpoint(path) -> FeedForwardModel:
     """Read a checkpoint, validating magic, shape chain, and payload size."""
-    raw = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     parts = raw.split(b"\n", 3)
     if len(parts) != 4:
         raise ValueError(f"{path}: truncated checkpoint header")

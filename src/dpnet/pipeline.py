@@ -10,33 +10,22 @@ floor(p * N) validation examples.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .data import ExampleSet
-from .dirichlet import (
-    DEFAULT_LOGIT_CLAMP,
-    _mutual_information_rows,
-    expected_posterior,
-    logits_to_alpha,
-    mutual_information,
-    posterior_entropy,
-)
-from .network import FeedForwardModel, forward, forward_batch
+from .dirichlet import DEFAULT_LOGIT_CLAMP, _mutual_information_rows
+from .network import FeedForwardModel, forward_batch
 
 __all__ = [
     "REFERABLE_CLASS",
     "ScoreKind",
-    "UncertaintyScore",
     "ScreeningThresholds",
     "Outcome",
     "ScreeningDecision",
     "RescoreRow",
-    "score",
     "score_set",
     "calibrate_threshold",
     "route_decision",
@@ -48,18 +37,10 @@ __all__ = [
 # Class index treated as "flag for referral" when rescoring retained examples.
 REFERABLE_CLASS = 0
 
-THREADS_ENV_VAR = "DPN_THREADS"
-
 
 class ScoreKind(str, Enum):
     MUTUAL_INFORMATION = "mutual_information"
     ENTROPY = "entropy"
-
-
-@dataclass(frozen=True)
-class UncertaintyScore:
-    value: float
-    kind: ScoreKind
 
 
 class Outcome(str, Enum):
@@ -72,15 +53,10 @@ class Outcome(str, Enum):
 class ScreeningThresholds:
     tau_d: float
     tau_c: float
-    percentile_d: float
-    percentile_c: float
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tau_d) and math.isfinite(self.tau_c)):
             raise ValueError("thresholds must be finite")
-        for p in (self.percentile_d, self.percentile_c):
-            if not 0.0 < p < 1.0:
-                raise ValueError("calibration fractions must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -98,18 +74,6 @@ class RescoreRow:
     auroc: float  # nan when a class is absent after discarding
 
 
-def score(model: FeedForwardModel, x, kind: ScoreKind) -> UncertaintyScore:
-    """Uncertainty of one input under the model's Dirichlet output."""
-    params = logits_to_alpha(forward(model, x))
-    if kind is ScoreKind.MUTUAL_INFORMATION:
-        value = mutual_information(params)
-    elif kind is ScoreKind.ENTROPY:
-        value = posterior_entropy(expected_posterior(params))
-    else:
-        raise ValueError(f"unknown score kind {kind!r}")
-    return UncertaintyScore(value, kind)
-
-
 def _scores_for_block(model: FeedForwardModel, block: np.ndarray, kind: ScoreKind) -> np.ndarray:
     Z = forward_batch(model, block)
     alpha = np.exp(np.clip(Z, -DEFAULT_LOGIT_CLAMP, DEFAULT_LOGIT_CLAMP))
@@ -121,49 +85,23 @@ def _scores_for_block(model: FeedForwardModel, block: np.ndarray, kind: ScoreKin
     raise ValueError(f"unknown score kind {kind!r}")
 
 
-def _max_threads() -> int:
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer") from None
-        if cap < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be >= 1")
-        return cap
-    return os.cpu_count() or 1
+_SCORE_BLOCK = 256  # fixed so a row's score never depends on the input size
 
 
-_SCORE_BLOCK = 256  # fixed so results never depend on the worker count
-
-
-def score_set(
-    model: FeedForwardModel,
-    features: np.ndarray,
-    kind: ScoreKind,
-    threads: int | None = None,
-) -> np.ndarray:
+def score_set(model: FeedForwardModel, features: np.ndarray, kind: ScoreKind) -> np.ndarray:
     """Scores for every row of a feature matrix, in row order.
 
-    Rows are always processed in fixed-size contiguous blocks; a small
-    thread pool (capped by the DPN_THREADS environment variable when
-    threads is not given) only changes the schedule, so the output is
-    bitwise identical for every thread count.
+    Rows are scored in fixed 256-row blocks, so the floating-point
+    reduction shapes, and with them the scores, are the same whatever
+    the number of rows.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise ValueError("features must be a 2-D array")
-    n = X.shape[0]
-    if n == 0:
+    if X.shape[0] == 0:
         return np.zeros(0)
-    blocks = [X[i : i + _SCORE_BLOCK] for i in range(0, n, _SCORE_BLOCK)]
-    workers = threads if threads is not None else _max_threads()
-    if workers < 2 or len(blocks) < 2:
-        parts = [_scores_for_block(model, b, kind) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: _scores_for_block(model, b, kind), blocks))
-    return np.concatenate(parts)
+    blocks = range(0, X.shape[0], _SCORE_BLOCK)
+    return np.concatenate([_scores_for_block(model, X[i : i + _SCORE_BLOCK], kind) for i in blocks])
 
 
 def calibrate_threshold(scores, drop_fraction: float) -> float:

@@ -29,7 +29,6 @@ class TrainConfig:
     learning_rate: float
     momentum: float = 0.9
     seed: int = 0
-    validation_metric: str = "in_domain_accuracy"
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -40,8 +39,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must lie in [0, 1)")
-        if self.validation_metric != "in_domain_accuracy":
-            raise ValueError(f"unknown validation metric {self.validation_metric!r}")
 
 
 @dataclass

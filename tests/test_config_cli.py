@@ -1,6 +1,9 @@
+import dataclasses
+import functools
 import io
 import json
 import math
+import operator
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -40,6 +43,11 @@ def test_config_dict_roundtrip_preserves_everything():
     assert from_dict(to_dict(cfg)) == cfg
     assert to_dict(cfg)["schema_version"] == SCHEMA_VERSION
 
+    no_roles = dataclasses.replace(cfg, classifier=None, detector=None)
+    blob = to_dict(no_roles)
+    assert "classifier" not in blob and "detector" not in blob
+    assert from_dict(blob) == no_roles
+
 
 def test_config_rejects_other_schema_versions():
     blob = to_dict(default_config())
@@ -48,26 +56,33 @@ def test_config_rejects_other_schema_versions():
         from_dict(blob)
 
 
+DELETE = object()
+
+
 def test_config_errors_name_the_key_path():
-    blob = to_dict(default_config())
-    del blob["dataset"]["train"]
-    with pytest.raises(ValueError, match="dataset"):
-        from_dict(blob)
-
-    blob = to_dict(default_config())
-    blob["dataset"]["train"] = "lots"
-    with pytest.raises(ValueError, match="integer"):
-        from_dict(blob)
-
-    blob = to_dict(default_config())
-    blob["dataset"]["train"] = True
-    with pytest.raises(ValueError, match="integer"):
-        from_dict(blob)
-
-    blob = to_dict(default_config())
-    blob["classifier"]["ood_sources"][0]["gamma"] = math.nan
-    with pytest.raises(ValueError, match="ood_sources"):
-        from_dict(blob)
+    cases = [
+        (("dataset", "train"), DELETE, "missing key 'train' in dataset"),
+        (("dataset", "train"), "lots", r"dataset\.train must be an integer"),
+        (("dataset", "train"), True, r"dataset\.train must be an integer"),
+        (
+            ("classifier", "ood_sources", 0, "gamma"),
+            math.nan,
+            r"classifier\.ood_sources\[0\]\.gamma must be a finite number",
+        ),
+        (("model", "hidden"), 32, r"model\.hidden must be a list"),
+        (("evaluation", "drop_fractions"), 0.05, r"evaluation\.drop_fractions must be a list"),
+        (("model", "hidden"), [32.7, 32], r"model\.hidden\[0\] must be an integer"),
+        (("out_dir",), None, "out_dir must be a string"),
+    ]
+    for path, value, message in cases:
+        blob = to_dict(default_config())
+        holder = functools.reduce(operator.getitem, path[:-1], blob)
+        if value is DELETE:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = value
+        with pytest.raises(ValueError, match=message):
+            from_dict(blob)
 
 
 def test_config_invalid_json_reports_path(tmp_path):
@@ -336,3 +351,10 @@ def test_cli_reports_broken_config(tmp_path, capsys):
     rc = cli.main(["gen", "--config", str(path)])
     assert rc == 1
     assert "invalid JSON" in capsys.readouterr().err
+
+    blob = to_dict(default_config(str(tmp_path / "run")))
+    blob["model"]["hidden"] = 32
+    path.write_text(json.dumps(blob))
+    rc = cli.main(["gen", "--config", str(path)])
+    assert rc == 1
+    assert "error: config: model.hidden must be a list" in capsys.readouterr().err

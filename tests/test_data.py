@@ -11,11 +11,8 @@ from dpnet.data import (
     gen_in_domain,
     gen_shifted,
     load_csv,
-    load_pgm,
     median_filter,
     save_csv,
-    save_pgm,
-    split,
 )
 
 
@@ -88,26 +85,6 @@ def test_gen_far_ood_ring_norms():
     assert examples.labels is None
     norms = np.linalg.norm(examples.features, axis=1)
     assert norms.min() >= 10.0 and norms.max() <= 14.0
-
-
-def test_split_contiguous_partition():
-    examples = gen_in_domain(10, 2, seed=8)
-    parts = split(examples, (0.8, 0.1, 0.1), seed=3)
-    assert (len(parts.train), len(parts.validation), len(parts.test)) == (8, 1, 1)
-    combined = np.vstack(
-        [parts.train.features, parts.validation.features, parts.test.features]
-    )
-    assert np.array_equal(np.sort(combined, axis=0), np.sort(examples.features, axis=0))
-    again = split(examples, (0.8, 0.1, 0.1), seed=3)
-    assert np.array_equal(parts.train.features, again.train.features)
-
-
-def test_split_rejects_bad_fractions():
-    examples = gen_in_domain(12, 2, seed=8)
-    with pytest.raises(ValueError):
-        split(examples, (0.9, 0.1, 0.1), seed=0)
-    with pytest.raises(ValueError):
-        split(examples, (1.0, 0.0, 0.0), seed=0)
 
 
 def test_csv_roundtrip_bit_identical(tmp_path):
@@ -217,38 +194,6 @@ def test_median_filter_validation():
         median_filter(img, 5)
     with pytest.raises(ValueError):
         median_filter(img, -1)
-
-
-def test_pgm_roundtrip(tmp_path):
-    rng = np.random.default_rng(19)
-    levels = rng.integers(0, 256, (6, 4))
-    img = GrayImage(4, 6, levels / 255.0)
-    path = tmp_path / "img.pgm"
-    save_pgm(img, path)
-    loaded = load_pgm(path)
-    assert (loaded.width, loaded.height) == (4, 6)
-    assert np.array_equal(loaded.pixels, img.pixels)
-    assert path.read_text().startswith("P2\n4 6\n255\n")
-
-
-def test_pgm_scales_other_maxvals(tmp_path):
-    path = tmp_path / "small.pgm"
-    path.write_text("P2\n# comment line\n2 2\n100\n0 50\n100 25\n")
-    img = load_pgm(path)
-    assert np.allclose(img.pixels, [[0.0, 0.5], [1.0, 0.25]])
-
-
-def test_pgm_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.pgm"
-    path.write_text("P5\n2 2\n255\n0 0 0 0\n")
-    with pytest.raises(ValueError, match="P2"):
-        load_pgm(path)
-    path.write_text("P2\n2 2\n255\n0 0 0\n")
-    with pytest.raises(ValueError, match="pixels"):
-        load_pgm(path)
-    path.write_text("P2\n2 2\n255\n0 0 0 300\n")
-    with pytest.raises(ValueError, match="outside"):
-        load_pgm(path)
 
 
 def test_gray_image_validation():

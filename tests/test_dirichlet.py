@@ -7,11 +7,8 @@ from dpnet.dirichlet import (
     ConcentrationParams,
     density_grid,
     digamma,
-    dirichlet_log_density,
-    expected_posterior,
     logits_to_alpha,
     mutual_information,
-    posterior_entropy,
 )
 
 EULER_MASCHERONI = 0.5772156649015329
@@ -42,11 +39,6 @@ def digamma_oracle(x: float) -> float:
     for c in reversed(_ORACLE_TAIL):
         tail = r * (c + tail)
     return acc + math.log(x) - 0.5 / x - tail
-
-
-def softmax_oracle(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
 
 
 def test_digamma_euler_mascheroni():
@@ -115,50 +107,6 @@ def test_alpha_positive_finite_for_random_logits():
         assert params.precision == pytest.approx(params.alpha.sum(), rel=1e-12)
 
 
-def test_expected_posterior_matches_softmax():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        k = int(rng.integers(2, 10))
-        z = rng.uniform(-20, 20, k)
-        p = expected_posterior(logits_to_alpha(z))
-        assert np.allclose(p, softmax_oracle(z), atol=1e-12)
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(p > 0)
-
-
-def test_expected_posterior_shift_invariance():
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        z = rng.uniform(-10, 10, 4)
-        c = float(rng.uniform(-10, 10))
-        a = expected_posterior(logits_to_alpha(z))
-        b = expected_posterior(logits_to_alpha(z + c))
-        assert np.allclose(a, b, atol=1e-10)
-
-
-def test_log_density_symmetric_beta_point():
-    params = ConcentrationParams.from_alpha([2.0, 2.0])
-    assert dirichlet_log_density([0.5, 0.5], params) == pytest.approx(math.log(1.5), abs=1e-12)
-
-
-def test_log_density_uniform_is_log_gamma_k():
-    params = ConcentrationParams.from_alpha([1.0, 1.0, 1.0])
-    for mu in ([0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3], [0.01, 0.01, 0.98]):
-        assert dirichlet_log_density(mu, params) == pytest.approx(math.log(2.0), abs=1e-12)
-
-
-def test_log_density_input_errors():
-    params = ConcentrationParams.from_alpha([2.0, 3.0, 4.0])
-    with pytest.raises(ValueError):
-        dirichlet_log_density([0.5, 0.5], params)  # length mismatch
-    with pytest.raises(ValueError):
-        dirichlet_log_density([0.6, 0.6, 0.6], params)  # not a simplex point
-    with pytest.raises(ValueError):
-        dirichlet_log_density([0.0, 0.5, 0.5], params)  # boundary
-    with pytest.raises(ValueError):
-        dirichlet_log_density([-0.1, 0.6, 0.5], params)
-
-
 def test_density_normalizes_on_lattice():
     # midpoint quadrature over the grid's own cells, area 1/r^2 each
     r = 400
@@ -185,16 +133,16 @@ def test_density_grid_peaked_alpha_argmax_near_corner():
 
 
 def test_density_increases_toward_corners_for_sparse_alpha():
-    params = ConcentrationParams.from_alpha([0.5, 0.5, 0.5])
-    centroid = np.ones(3) / 3
-    for corner_idx in range(3):
-        corner = np.zeros(3)
-        corner[corner_idx] = 1.0
-        values = []
-        for t in (0.0, 0.2, 0.4, 0.6, 0.8):
-            mu = (1 - t) * centroid + t * corner
-            values.append(dirichlet_log_density(mu, params))
-        assert all(b > a for a, b in zip(values, values[1:]))
+    # lattice points with mu1 == mu2 lie on the line from the third corner
+    # through the centroid to the midpoint of the opposite edge
+    points, densities = density_grid(ConcentrationParams.from_alpha([0.5, 0.5, 0.5]), 60)
+    diagonal = points[:, 0] == points[:, 1]
+    a, values = points[diagonal, 0], densities[diagonal]
+    toward_corner = values[a < 1 / 3][::-1]  # centroid first, corner last
+    toward_edge = values[a > 1 / 3]
+    assert toward_corner.size > 5 and toward_edge.size > 5
+    assert np.all(np.diff(toward_corner) > 0)
+    assert np.all(np.diff(toward_edge) > 0)
 
 
 def test_density_grid_requires_three_classes():
@@ -240,22 +188,6 @@ def test_mutual_information_bounds_random():
         mi = mutual_information(params)
         assert mi >= -1e-12
         assert mi <= math.log(k) + 1e-9
-
-
-def test_posterior_entropy_values():
-    assert posterior_entropy([0.25, 0.75]) == pytest.approx(0.5623351446188083, abs=1e-12)
-    assert posterior_entropy([0.5, 0.5]) == pytest.approx(math.log(2.0), abs=1e-12)
-    assert posterior_entropy([1.0, 0.0]) == 0.0
-    assert posterior_entropy(np.ones(5) / 5) == pytest.approx(math.log(5.0), abs=1e-12)
-
-
-def test_posterior_entropy_rejects_bad_input():
-    with pytest.raises(ValueError):
-        posterior_entropy([0.6, 0.6])
-    with pytest.raises(ValueError):
-        posterior_entropy([-0.1, 1.1])
-    with pytest.raises(ValueError):
-        posterior_entropy([1.0])
 
 
 def test_concentration_params_validation():

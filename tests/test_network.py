@@ -1,4 +1,6 @@
+import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +141,16 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     # identical bytes when saved again
     save_checkpoint(loaded, tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_load_closes_its_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_model((2, 4, 3), 1), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_checkpoint(path)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_checkpoint_header_format(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpnet.data import ExampleSet, gen_far_ood, gen_in_domain
 from dpnet.dirichlet import logits_to_alpha, mutual_information
@@ -16,7 +18,6 @@ from dpnet.pipeline import (
     discard_and_rescore,
     ood_detection_rate,
     route_decision,
-    score,
     score_set,
 )
 from dpnet.training import TrainConfig, train
@@ -47,47 +48,32 @@ def classifier():
     return model
 
 
-def test_score_composes_forward_and_uncertainty():
-    model = init_model((2, 8, 3), seed=51)
-    x = np.array([1.0, -2.0])
-    got = score(model, x, ScoreKind.MUTUAL_INFORMATION)
-    assert got.kind is ScoreKind.MUTUAL_INFORMATION
-    assert got.value == mutual_information(logits_to_alpha(forward(model, x)))
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    hidden=st.lists(st.integers(1, 12), min_size=0, max_size=2),
+    classes=st.integers(2, 5),
+    rows=st.integers(0, 600),
+    activation=st.sampled_from(["relu", "tanh"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(hidden=[8], classes=3, rows=513, activation="relu", seed=52)
+@example(hidden=[1, 1], classes=5, rows=38, activation="relu", seed=274618120)  # logits past 30
+def test_score_set_matches_single_input_scores(hidden, classes, rows, activation, seed):
+    # row counts up to 600 cross the 256-row block edges of score_set
+    model = init_model((2, *hidden, classes), seed=seed, activation=activation)
+    X = np.random.default_rng(seed).uniform(-4.0, 4.0, (rows, 2))
 
-    ent = score(model, x, ScoreKind.ENTROPY)
-    assert ent.kind is ScoreKind.ENTROPY
-    assert 0.0 <= ent.value <= math.log(3) + 1e-12
+    want = [mutual_information(logits_to_alpha(forward(model, x))) for x in X]
+    got = score_set(model, X, ScoreKind.MUTUAL_INFORMATION)
+    assert got.shape == (rows,)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
-
-def test_score_set_matches_single_input_scores():
-    model = init_model((2, 8, 3), seed=51)
-    X = np.random.default_rng(52).normal(0.0, 3.0, (20, 2))
-    for kind in ScoreKind:
-        got = score_set(model, X, kind)
-        want = [score(model, x, kind).value for x in X]
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-
-
-def test_score_set_thread_count_never_changes_values(monkeypatch):
-    model = init_model((2, 16, 3), seed=53)
-    X = np.random.default_rng(54).normal(0.0, 4.0, (700, 2))
-    base = score_set(model, X, ScoreKind.MUTUAL_INFORMATION, threads=1)
-    for workers in (2, 3, 8):
-        again = score_set(model, X, ScoreKind.MUTUAL_INFORMATION, threads=workers)
-        assert np.array_equal(again, base)
-    monkeypatch.setenv("DPN_THREADS", "4")
-    assert np.array_equal(score_set(model, X, ScoreKind.MUTUAL_INFORMATION), base)
-
-
-def test_score_set_rejects_bad_thread_env(monkeypatch):
-    model = init_model((2, 8, 3), seed=55)
-    X = np.zeros((4, 2))
-    monkeypatch.setenv("DPN_THREADS", "four")
-    with pytest.raises(ValueError):
-        score_set(model, X, ScoreKind.MUTUAL_INFORMATION)
-    monkeypatch.setenv("DPN_THREADS", "0")
-    with pytest.raises(ValueError):
-        score_set(model, X, ScoreKind.MUTUAL_INFORMATION)
+    # scores read the Dirichlet of logits_to_alpha, which clamps logits to +-30
+    Z = np.clip([forward(model, x) for x in X], -30.0, 30.0).reshape(rows, classes)
+    p = np.exp(Z - Z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    entropy = -(p * np.log(p)).sum(axis=1)
+    np.testing.assert_allclose(score_set(model, X, ScoreKind.ENTROPY), entropy, rtol=0.0, atol=1e-12)
 
 
 def test_score_set_shapes():
@@ -136,7 +122,7 @@ def test_calibrate_threshold_validation():
         calibrate_threshold([1.0, 2.0], 1.0)
 
 
-THRESHOLDS = ScreeningThresholds(tau_d=0.5, tau_c=0.8, percentile_d=0.05, percentile_c=0.01)
+THRESHOLDS = ScreeningThresholds(tau_d=0.5, tau_c=0.8)
 
 
 def test_route_decision_outcomes():
@@ -173,11 +159,9 @@ def test_route_decision_rejects_non_finite():
 
 def test_screening_thresholds_validation():
     with pytest.raises(ValueError):
-        ScreeningThresholds(math.inf, 0.5, 0.05, 0.01)
+        ScreeningThresholds(math.inf, 0.5)
     with pytest.raises(ValueError):
-        ScreeningThresholds(0.5, 0.5, 0.0, 0.01)
-    with pytest.raises(ValueError):
-        ScreeningThresholds(0.5, 0.5, 0.05, 1.0)
+        ScreeningThresholds(0.5, math.nan)
 
 
 def test_outcome_and_kind_wire_values():

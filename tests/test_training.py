@@ -26,10 +26,6 @@ def test_config_validation():
         TrainConfig(PLAIN, epochs=1, batch_size=8, learning_rate=0.1, momentum=1.0)
     with pytest.raises(ValueError):
         TrainConfig(PLAIN, epochs=1, batch_size=8, learning_rate=0.1, momentum=-0.1)
-    with pytest.raises(ValueError):
-        TrainConfig(
-            PLAIN, epochs=1, batch_size=8, learning_rate=0.1, validation_metric="f1"
-        )
 
 
 def test_zero_epochs_returns_input_parameters():
