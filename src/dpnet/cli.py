@@ -13,10 +13,15 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import config as cfgmod
 from . import data, network, pipeline, training
-from .data import _fmt
 from .losses import ObjectiveConfig, OodTerm
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
@@ -30,11 +35,17 @@ def _out_dir(cfg: cfgmod.ExperimentConfig, override: str | None) -> Path:
     return out
 
 
-def _load_dataset(out: Path, name: str) -> data.ExampleSet:
+def _load_dataset(
+    out: Path, name: str, classifier: network.FeedForwardModel | None = None
+) -> data.ExampleSet:
+    """Load a generated dataset; with a classifier, check its feature count too."""
     path = out / name
     if not path.exists():
         raise FileNotFoundError(f"missing dataset file {path}")
-    return data.load_csv(path)
+    examples = data.load_csv(path)
+    if classifier is not None:
+        _check_dim(path, examples, classifier)
+    return examples
 
 
 def cmd_gen(cfg: cfgmod.ExperimentConfig, out: Path) -> int:
@@ -119,85 +130,92 @@ def _load_model_pair(paths: list[str]) -> tuple[network.FeedForwardModel, networ
     return classifier, detector
 
 
+def _check_dim(path, examples: data.ExampleSet, classifier: network.FeedForwardModel) -> None:
+    if examples.dim != classifier.layer_sizes[0]:
+        raise ValueError(
+            f"{path}: {examples.dim} features, checkpoints expect {classifier.layer_sizes[0]}"
+        )
+
+
 def _calibrated_thresholds(
-    cfg: cfgmod.ExperimentConfig,
-    classifier: network.FeedForwardModel,
-    detector: network.FeedForwardModel,
-    val_set: data.ExampleSet,
+    cfg: cfgmod.ExperimentConfig, val: pipeline.ScreenScores
 ) -> pipeline.ScreeningThresholds:
-    s_d = pipeline.score_set(detector, val_set.features, pipeline.ScoreKind.MUTUAL_INFORMATION)
-    s_c = pipeline.score_set(classifier, val_set.features, pipeline.ScoreKind.MUTUAL_INFORMATION)
     return pipeline.ScreeningThresholds(
-        tau_d=pipeline.calibrate_threshold(s_d, cfg.screening.drop_fraction_detector),
-        tau_c=pipeline.calibrate_threshold(s_c, cfg.screening.drop_fraction_classifier),
+        tau_d=pipeline.calibrate_threshold(val.s_d, cfg.screening.drop_fraction_detector),
+        tau_c=pipeline.calibrate_threshold(val.s_c, cfg.screening.drop_fraction_classifier),
     )
 
 
+_OUTCOME_NAMES = [o.value for o in pipeline.Outcome]
+
+
 def _decision_rows(
-    classifier: network.FeedForwardModel,
-    detector: network.FeedForwardModel,
-    thresholds: pipeline.ScreeningThresholds,
-    examples: data.ExampleSet,
-    ids: list[str],
-) -> tuple[list[str], dict[str, int]]:
-    s_d = pipeline.score_set(detector, examples.features, pipeline.ScoreKind.MUTUAL_INFORMATION)
-    s_c = pipeline.score_set(classifier, examples.features, pipeline.ScoreKind.MUTUAL_INFORMATION)
-    preds = network.forward_batch(classifier, examples.features).argmax(axis=1)
-    lines = []
-    counts = {o.value: 0 for o in pipeline.Outcome}
-    for i, row_id in enumerate(ids):
-        decision = pipeline.route_decision(s_d[i], s_c[i], thresholds, int(preds[i]))
-        counts[decision.outcome.value] += 1
-        cls = "" if decision.predicted_class is None else str(decision.predicted_class)
-        lines.append(f"{row_id},{_fmt(decision.s_d)},{_fmt(decision.s_c)},{decision.outcome.value},{cls}")
-    return lines, counts
+    thresholds: pipeline.ScreeningThresholds, scores: pipeline.ScreenScores, id_prefix: str
+) -> tuple[list[str], list[int]]:
+    """decisions.csv lines with ids ``<id_prefix><row>``, and the count per outcome."""
+    outcome, predicted = pipeline.route_decision(
+        scores.s_d, scores.s_c, thresholds, scores.predicted
+    )
+    # tolist() gives Python floats, whose repr is _fmt's output
+    lines = [
+        f"{id_prefix}{i},{d!r},{c!r},{_OUTCOME_NAMES[o]},{'' if k < 0 else k}"
+        for i, (d, c, o, k) in enumerate(
+            zip(scores.s_d.tolist(), scores.s_c.tolist(), outcome.tolist(), predicted.tolist())
+        )
+    ]
+    return lines, np.bincount(outcome, minlength=len(_OUTCOME_NAMES)).tolist()
 
 
 def cmd_screen(cfg: cfgmod.ExperimentConfig, ckpts: list[str], input_path: str, out: Path) -> int:
     classifier, detector = _load_model_pair(ckpts)
-    val_set = _load_dataset(out, "in_val.csv")
-    thresholds = _calibrated_thresholds(cfg, classifier, detector, val_set)
+    val_set = _load_dataset(out, "in_val.csv", classifier)
     examples = data.load_csv(input_path)
     if len(examples) == 0:
         raise ValueError(f"{input_path}: no rows to screen")
-    ids = [str(i) for i in range(len(examples))]
-    lines, counts = _decision_rows(classifier, detector, thresholds, examples, ids)
+    _check_dim(input_path, examples, classifier)
+    thresholds = _calibrated_thresholds(
+        cfg, pipeline.screen_scores(classifier, detector, val_set.features)
+    )
+    scores = pipeline.screen_scores(classifier, detector, examples.features)
+    lines, counts = _decision_rows(thresholds, scores, "")
     _write_lines(out / "decisions.csv", ["id,s_d,s_c,outcome,predicted_class"] + lines)
     print(f"wrote {out / 'decisions.csv'}")
-    for outcome in pipeline.Outcome:
-        print(f"{outcome.value}={counts[outcome.value]}")
+    for name, count in zip(_OUTCOME_NAMES, counts):
+        print(f"{name}={count}")
     return 0
 
 
 def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
     classifier, detector = _load_model_pair(ckpts)
-    val_set = _load_dataset(out, "in_val.csv")
-    in_test = _load_dataset(out, "in_test.csv")
-    shifted_test = _load_dataset(out, "shifted_test.csv")
-    far_ood = _load_dataset(out, "far_ood.csv")
+    names = ("in_val", "in_test", "shifted_test", "far_ood")
+    sets = {name: _load_dataset(out, f"{name}.csv", classifier) for name in names}
+    scores = {
+        name: pipeline.screen_scores(classifier, detector, examples.features)
+        for name, examples in sets.items()
+    }
+    s_val = scores["in_val"].s_d
 
-    thresholds = _calibrated_thresholds(cfg, classifier, detector, val_set)
+    thresholds = _calibrated_thresholds(cfg, scores["in_val"])
     score_lines: list[str] = []
-    for name, examples in (("in_test", in_test), ("shifted_test", shifted_test), ("far_ood", far_ood)):
-        ids = [f"{name}/{i}" for i in range(len(examples))]
-        lines, _ = _decision_rows(classifier, detector, thresholds, examples, ids)
-        score_lines.extend(lines)
+    for name in ("in_test", "shifted_test", "far_ood"):
+        score_lines.extend(_decision_rows(thresholds, scores[name], f"{name}/")[0])
     _write_lines(out / "scores.csv", ["id,s_d,s_c,outcome,predicted_class"] + score_lines)
 
-    s_val = pipeline.score_set(detector, val_set.features, pipeline.ScoreKind.MUTUAL_INFORMATION)
     rate_lines = []
-    for name, examples in (("shifted_test", shifted_test), ("far_ood", far_ood)):
-        scores = pipeline.score_set(
-            detector, examples.features, pipeline.ScoreKind.MUTUAL_INFORMATION
-        )
+    for name in ("shifted_test", "far_ood"):
         for p in cfg.evaluation.drop_fractions:
             tau = pipeline.calibrate_threshold(s_val, p)
-            rate = pipeline.ood_detection_rate(scores, tau)
+            rate = pipeline.ood_detection_rate(scores[name].s_d, tau)
             rate_lines.append(f"{name},{_fmt(p)},{_fmt(rate)}")
     _write_lines(out / "detection_rates.csv", ["dataset,drop_fraction,detection_rate"] + rate_lines)
 
+    shifted = scores["shifted_test"]
     rows = pipeline.discard_and_rescore(
-        classifier, detector, shifted_test, val_set, (0.0, *cfg.evaluation.drop_fractions)
+        shifted.referable,
+        sets["shifted_test"].labels,
+        shifted.s_d,
+        s_val,
+        (0.0, *cfg.evaluation.drop_fractions),
     )
     rescore_lines = [f"{_fmt(r.drop_fraction)},{r.retained},{_fmt(r.auroc)}" for r in rows]
     _write_lines(out / "rescore_auroc.csv", ["drop_fraction,retained,auroc"] + rescore_lines)

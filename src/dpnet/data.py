@@ -9,6 +9,7 @@ clusters. All randomness flows from explicit seeds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -105,24 +106,17 @@ def gen_far_ood(n: int, seed: int) -> ExampleSet:
     return ExampleSet(np.column_stack([radius * np.cos(theta), radius * np.sin(theta)]))
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def save_csv(path, examples: ExampleSet) -> None:
     """Write examples with the header ``features:<d>,label:<0|1>``.
 
     Floats are written with repr so a load round-trips bit-identically.
     """
     labeled = examples.labels is not None
-    lines = [f"features:{examples.dim},label:{1 if labeled else 0}"]
-    for i in range(len(examples)):
-        row = [_fmt(v) for v in examples.features[i]]
-        if labeled:
-            row.append(str(int(examples.labels[i])))
-        lines.append(",".join(row))
+    rows = [",".join(map(repr, row)) for row in examples.features.tolist()]
+    if labeled:
+        rows = [f"{row},{label}" for row, label in zip(rows, examples.labels.tolist())]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([f"features:{examples.dim},label:{int(labeled)}", *rows]) + "\n")
 
 
 def _parse_header(line: str, path) -> tuple[int, bool]:
@@ -143,16 +137,9 @@ def _parse_header(line: str, path) -> tuple[int, bool]:
     return dim, bool(flag)
 
 
-def load_csv(path) -> ExampleSet:
-    """Parse a dataset CSV; malformed input raises with the line number."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].strip():
-        raise ValueError(f"{path}:1: missing header")
-    dim, labeled = _parse_header(lines[0], path)
+def _raise_first_error(path, lines: list[str], dim: int, labeled: bool) -> None:
+    """Check data lines one at a time and raise for the first malformed one."""
     want = dim + (1 if labeled else 0)
-    features = []
-    labels = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -172,10 +159,39 @@ def load_csv(path) -> ExampleSet:
                 raise ValueError(f"{path}:{lineno}: label must be an integer") from None
             if label < 0:
                 raise ValueError(f"{path}:{lineno}: label must be >= 0")
-            labels.append(label)
-        features.append(row)
-    feats = np.array(features, dtype=float).reshape(len(features), dim)
-    return ExampleSet(feats, np.array(labels, dtype=np.int64) if labeled else None)
+
+
+def load_csv(path) -> ExampleSet:
+    """Parse a dataset CSV; malformed input raises with the line number.
+
+    The rows are parsed all at once; only when that fails are the lines
+    checked one at a time, to name the first malformed one.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines or not lines[0].strip():
+        raise ValueError(f"{path}:1: missing header")
+    dim, labeled = _parse_header(lines[0], path)
+    want = dim + (1 if labeled else 0)
+    rows = list(filter(str.strip, lines[1:]))
+    try:
+        if list(map(str.count, rows, itertools.repeat(","))).count(want - 1) != len(rows):
+            raise ValueError("wrong field count")
+        tokens = ",".join(rows).split(",") if rows else []
+        labels = None
+        if labeled:
+            labels = np.array([int(t) for t in tokens[dim::want]], dtype=np.int64)
+            del tokens[dim::want]
+            if labels.size and labels.min() < 0:
+                raise ValueError("negative label")
+        # np.array converts each str with Python's float, like the line check
+        features = np.array(tokens, dtype=float).reshape(len(rows), dim)
+        if not np.all(np.isfinite(features)):
+            raise ValueError("non-finite feature")
+    except ValueError:
+        _raise_first_error(path, lines, dim, labeled)
+        raise
+    return ExampleSet(features, labels)
 
 
 @dataclass

@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import ExampleSet
 from .dirichlet import DEFAULT_LOGIT_CLAMP, _mutual_information_rows
 from .network import FeedForwardModel, forward_batch
 
@@ -24,9 +24,10 @@ __all__ = [
     "ScoreKind",
     "ScreeningThresholds",
     "Outcome",
-    "ScreeningDecision",
     "RescoreRow",
+    "ScreenScores",
     "score_set",
+    "screen_scores",
     "calibrate_threshold",
     "route_decision",
     "auroc",
@@ -60,48 +61,67 @@ class ScreeningThresholds:
 
 
 @dataclass(frozen=True)
-class ScreeningDecision:
-    outcome: Outcome
-    s_d: float
-    s_c: float
-    predicted_class: int | None
-
-
-@dataclass(frozen=True)
 class RescoreRow:
     drop_fraction: float
     retained: int
     auroc: float  # nan when a class is absent after discarding
 
 
-def _scores_for_block(model: FeedForwardModel, block: np.ndarray, kind: ScoreKind) -> np.ndarray:
-    Z = forward_batch(model, block)
+def _block_scores(Z: np.ndarray, kind: ScoreKind) -> tuple[np.ndarray, np.ndarray]:
+    """(score, referable posterior) rows from one block of logits."""
     alpha = np.exp(np.clip(Z, -DEFAULT_LOGIT_CLAMP, DEFAULT_LOGIT_CLAMP))
+    a0 = alpha.sum(axis=1)
+    referable = alpha[:, REFERABLE_CLASS] / a0
     if kind is ScoreKind.MUTUAL_INFORMATION:
-        return _mutual_information_rows(alpha)
+        return _mutual_information_rows(alpha), referable
     if kind is ScoreKind.ENTROPY:
-        p = alpha / alpha.sum(axis=1, keepdims=True)
-        return -(p * np.log(p)).sum(axis=1)
+        p = alpha / a0[:, None]
+        return -(p * np.log(p)).sum(axis=1), referable
     raise ValueError(f"unknown score kind {kind!r}")
 
 
 _SCORE_BLOCK = 256  # fixed so a row's score never depends on the input size
 
 
-def score_set(model: FeedForwardModel, features: np.ndarray, kind: ScoreKind) -> np.ndarray:
-    """Scores for every row of a feature matrix, in row order.
+def _score_rows(model: FeedForwardModel, features: np.ndarray, kind: ScoreKind):
+    """(score, predicted class, referable posterior) of every row, in row order.
 
-    Rows are scored in fixed 256-row blocks, so the floating-point
-    reduction shapes, and with them the scores, are the same whatever
-    the number of rows.
+    Rows go through the model in fixed 256-row blocks, one forward pass
+    each, so the floating-point reduction shapes, and with them the
+    results, are the same whatever the number of rows.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise ValueError("features must be a 2-D array")
-    if X.shape[0] == 0:
-        return np.zeros(0)
-    blocks = range(0, X.shape[0], _SCORE_BLOCK)
-    return np.concatenate([_scores_for_block(model, X[i : i + _SCORE_BLOCK], kind) for i in blocks])
+    n = X.shape[0]
+    score, predicted, referable = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n)
+    for i in range(0, n, _SCORE_BLOCK):
+        rows = slice(i, i + _SCORE_BLOCK)
+        Z = forward_batch(model, X[rows])
+        score[rows], referable[rows] = _block_scores(Z, kind)
+        predicted[rows] = Z.argmax(axis=1)
+    return score, predicted, referable
+
+
+def score_set(model: FeedForwardModel, features: np.ndarray, kind: ScoreKind) -> np.ndarray:
+    """Scores for every row of a feature matrix, in row order (256-row blocks)."""
+    return _score_rows(model, features, kind)[0]
+
+
+class ScreenScores(NamedTuple):
+    s_d: np.ndarray  # detector mutual information
+    s_c: np.ndarray  # classifier mutual information
+    predicted: np.ndarray  # classifier argmax
+    referable: np.ndarray  # classifier posterior mean of REFERABLE_CLASS
+
+
+def screen_scores(
+    classifier: FeedForwardModel, detector: FeedForwardModel, features: np.ndarray
+) -> ScreenScores:
+    """Everything screening and evaluation read, from one pass of each model."""
+    s_c, predicted, referable = _score_rows(classifier, features, ScoreKind.MUTUAL_INFORMATION)
+    s_d = score_set(detector, features, ScoreKind.MUTUAL_INFORMATION)
+    return ScreenScores(s_d, s_c, predicted, referable)
 
 
 def calibrate_threshold(scores, drop_fraction: float) -> float:
@@ -125,20 +145,21 @@ def calibrate_threshold(scores, drop_fraction: float) -> float:
     return float(np.sort(arr)[n - drop - 1])
 
 
-def route_decision(
-    s_d: float,
-    s_c: float,
-    thresholds: ScreeningThresholds,
-    predicted_class: int,
-) -> ScreeningDecision:
-    """Dual-threshold routing; scores at a threshold are not flagged."""
-    if not (math.isfinite(s_d) and math.isfinite(s_c)):
+def route_decision(s_d, s_c, thresholds: ScreeningThresholds, predicted_class):
+    """Dual-threshold routing of arrays of rows; scores at a threshold are not flagged.
+
+    Returns (outcome, predicted): outcome indexes ``list(Outcome)`` and
+    predicted is ``predicted_class`` with -1 on discarded rows.
+    """
+    s_d, s_c = np.asarray(s_d, dtype=float), np.asarray(s_c, dtype=float)
+    predicted_class = np.asarray(predicted_class, dtype=np.int64)
+    if s_d.ndim != 1 or s_c.shape != s_d.shape or predicted_class.shape != s_d.shape:
+        raise ValueError("scores and classes must be 1-D arrays of one length")
+    if not (np.all(np.isfinite(s_d)) and np.all(np.isfinite(s_c))):
         raise ValueError("scores must be finite")
-    if s_c > thresholds.tau_c:
-        return ScreeningDecision(Outcome.DISCARD, s_d, s_c, None)
-    if s_d > thresholds.tau_d:
-        return ScreeningDecision(Outcome.HUMAN_REVIEW, s_d, s_c, int(predicted_class))
-    return ScreeningDecision(Outcome.TRUSTED, s_d, s_c, int(predicted_class))
+    discard = s_c > thresholds.tau_c
+    outcome = np.where(discard, 2, np.where(s_d > thresholds.tau_d, 1, 0))
+    return outcome, np.where(discard, -1, predicted_class)
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -173,35 +194,34 @@ def ood_detection_rate(scores, tau: float) -> float:
 
 
 def discard_and_rescore(
-    classifier: FeedForwardModel,
-    detector: FeedForwardModel,
-    test_set: ExampleSet,
-    val_set: ExampleSet,
+    referable_prob,
+    labels,
+    s_test,
+    s_val,
     drop_fractions,
 ) -> list[RescoreRow]:
     """Referable-vs-rest AUROC on what survives detector-based discarding.
 
-    For each fraction p the detector threshold is calibrated on
-    in-domain validation scores (p = 0 keeps everything); the AUROC
-    uses the classifier's posterior for the referable class on the
-    retained test examples. A fraction whose retained set lacks one of
-    the two groups gets auroc = nan rather than an error.
+    ``referable_prob`` is the classifier's posterior for the referable
+    class on each test example, ``labels`` their labels, and ``s_test``
+    and ``s_val`` the detector's scores on the test and in-domain
+    validation sets. For each fraction p the detector threshold is
+    calibrated on ``s_val`` (p = 0 keeps everything); the AUROC is taken
+    over the retained test examples. A fraction whose retained set lacks
+    one of the two groups gets auroc = nan rather than an error.
     """
-    if test_set.labels is None:
+    if labels is None:
         raise ValueError("test set must be labeled")
-    if len(test_set) == 0 or len(val_set) == 0:
+    referable_prob, s_test = np.asarray(referable_prob), np.asarray(s_test)
+    if s_test.size == 0 or np.size(s_val) == 0:
         raise ValueError("test and validation sets must not be empty")
+    if referable_prob.shape != s_test.shape or np.shape(labels) != s_test.shape:
+        raise ValueError("test scores, posteriors and labels must have one entry per example")
     fractions = [float(p) for p in drop_fractions]
     if any(not 0.0 <= p < 1.0 for p in fractions):
         raise ValueError("drop fractions must lie in [0, 1)")
 
-    s_test = score_set(detector, test_set.features, ScoreKind.MUTUAL_INFORMATION)
-    s_val = score_set(detector, val_set.features, ScoreKind.MUTUAL_INFORMATION)
-    Z = forward_batch(classifier, test_set.features)
-    alpha = np.exp(np.clip(Z, -DEFAULT_LOGIT_CLAMP, DEFAULT_LOGIT_CLAMP))
-    referable_prob = alpha[:, REFERABLE_CLASS] / alpha.sum(axis=1)
-    is_referable = test_set.labels == REFERABLE_CLASS
-
+    is_referable = np.asarray(labels) == REFERABLE_CLASS
     rows = []
     for p in fractions:
         tau = math.inf if p == 0.0 else calibrate_threshold(s_val, p)

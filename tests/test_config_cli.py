@@ -335,6 +335,26 @@ def test_cli_rejects_empty_screen_input(experiment, tmp_path, capsys):
     assert "no rows" in capsys.readouterr().err
 
 
+def test_cli_rejects_input_with_other_feature_count(experiment, tmp_path, capsys):
+    ckpts = [
+        "--checkpoint", str(experiment["out"] / "classifier.ckpt"),
+        "--checkpoint", str(experiment["out"] / "detector.ckpt"),
+    ]
+    wide = tmp_path / "wide.csv"
+    wide.write_text("features:3,label:0\n0.0,1.0,2.0\n")
+    rc = cli.main(["screen", "--config", experiment["cfg"], *ckpts, "--input", str(wide)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {wide}: 3 features, checkpoints expect 2\n"
+
+    for name in ("in_val.csv", "in_test.csv", "shifted_test.csv", "far_ood.csv"):
+        (tmp_path / name).write_bytes((experiment["out"] / name).read_bytes())
+    (tmp_path / "far_ood.csv").write_text("features:1,label:0\n0.5\n")
+    rc = cli.main(["eval", "--config", experiment["cfg"], *ckpts, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'far_ood.csv'}: 1 features, checkpoints expect 2\n"
+
+
 def test_cli_rejects_non_three_class_plot(tmp_path, capsys):
     ckpt = tmp_path / "two.ckpt"
     save_checkpoint(init_model((2, 8, 2), seed=2), ckpt)

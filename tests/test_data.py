@@ -1,7 +1,12 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dpnet.data import (
     CLUSTER_RADIUS,
@@ -134,6 +139,115 @@ def test_csv_parse_errors_name_lines(tmp_path):
     path.write_text("features:2,label:0\n1.0,nan\n")
     with pytest.raises(ValueError, match="non-finite"):
         load_csv(path)
+
+
+def test_save_csv_exact_bytes(tmp_path):
+    path = tmp_path / "b.csv"
+    save_csv(path, ExampleSet(np.array([[-0.0, 1e-320], [0.1, 2.0]]), np.array([0, 3])))
+    assert path.read_bytes() == b"features:2,label:1\n-0.0,1e-320,0\n0.1,2.0,3\n"
+    save_csv(path, ExampleSet(np.array([[0.1, -0.0, 1e-320]])))
+    assert path.read_bytes() == b"features:3,label:0\n0.1,-0.0,1e-320\n"
+
+
+def with_blank_lines(text: str, blanks: list[str]) -> tuple[str, list[int]]:
+    """Put blanks[i] before data row i; returns the text and each row's line number."""
+    header, *rows = text.splitlines()
+    lines, numbers = [header], []
+    for i, row in enumerate(rows):
+        if i < len(blanks):
+            lines.append(blanks[i])
+        lines.append(row)
+        numbers.append(len(lines))
+    return "\n".join(lines + blanks[len(rows) :]) + "\n", numbers
+
+
+blank_lines = st.lists(st.sampled_from(["", "  ", "\t"]), max_size=40)
+
+
+@st.composite
+def example_sets(draw, max_rows=600):
+    rows, dim = draw(st.integers(0, max_rows)), draw(st.integers(1, 3))
+    values = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([-0.0, 5e-324, -2.5e-320, 1e308, -1e308]),
+    )
+    features = draw(arrays(np.float64, (rows, dim), elements=values))
+    labels = None
+    if draw(st.booleans()):
+        labels = draw(arrays(np.int64, rows, elements=st.integers(0, 2**62)))
+    return ExampleSet(features, labels)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(example_sets())
+@example(ExampleSet(np.array([[-0.0, 5e-324], [1e308, -1e308]]), np.array([0, 7])))
+@example(ExampleSet(np.zeros((0, 2))))
+def test_csv_roundtrip_property(examples):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        save_csv(path, examples)
+        loaded = [load_csv(path)]
+        # blank and whitespace-only lines are skipped
+        path.write_text(with_blank_lines(path.read_text(), ["", " \t", ""] * 10)[0])
+        loaded.append(load_csv(path))
+    for got in loaded:
+        assert got.features.shape == examples.features.shape
+        # bit-identical, so -0.0 stays negative
+        assert got.features.tobytes() == examples.features.tobytes()
+        if examples.labels is None:
+            assert got.labels is None
+        else:
+            assert np.array_equal(got.labels, examples.labels)
+
+
+def corruptions(want: int, labeled: bool) -> list[tuple[str, str]]:
+    """(how, message) pairs for one damaged data line."""
+    kinds = [
+        ("extra field", "expected {want} fields, got {more}"),
+        ("abc", "non-numeric feature"),
+        ("nan", "non-finite feature"),
+        ("inf", "non-finite feature"),
+        ("-inf", "non-finite feature"),
+    ]
+    if want > 1:  # a one-field line with its field removed is blank, and skipped
+        kinds.append(("missing field", "expected {want} fields, got {less}"))
+    if labeled:
+        kinds += [("1.5", "label must be an integer"), ("-1", "label must be >= 0")]
+    return kinds
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_csv_corrupt_line_is_named(data):
+    examples = data.draw(example_sets(max_rows=30).filter(len))
+    labeled = examples.labels is not None
+    dim, want = examples.dim, examples.dim + labeled
+    bad_row = data.draw(st.integers(0, len(examples) - 1))
+    column = data.draw(st.integers(0, dim - 1))
+    blanks = data.draw(blank_lines)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        save_csv(path, examples)
+        clean = path.read_text()
+        for how, message in corruptions(want, labeled):
+            header, *rows = clean.splitlines()
+            fields = rows[bad_row].split(",")
+            if how == "extra field":
+                fields.append("0")
+            elif how == "missing field":
+                fields.pop()
+            elif how in ("1.5", "-1"):
+                fields[dim] = how
+            else:
+                fields[column] = how
+            rows[bad_row] = ",".join(fields)
+            text, numbers = with_blank_lines("\n".join([header, *rows]), blanks)
+            path.write_text(text)
+            expected = message.format(want=want, more=want + 1, less=want - 1)
+            with pytest.raises(ValueError) as err:
+                load_csv(path)
+            assert str(err.value) == f"{path}:{numbers[bad_row]}: {expected}"
 
 
 def test_csv_missing_file():

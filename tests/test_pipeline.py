@@ -19,6 +19,7 @@ from dpnet.pipeline import (
     ood_detection_rate,
     route_decision,
     score_set,
+    screen_scores,
 )
 from dpnet.training import TrainConfig, train
 
@@ -67,6 +68,15 @@ def test_score_set_matches_single_input_scores(hidden, classes, rows, activation
     got = score_set(model, X, ScoreKind.MUTUAL_INFORMATION)
     assert got.shape == (rows,)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    # screen_scores reads one blocked pass per model: the same scores, plus
+    # the classifier's argmax and referable posterior
+    both = screen_scores(model, model, X)
+    assert np.array_equal(both.s_d, got) and np.array_equal(both.s_c, got)
+    Z = np.array([forward(model, x) for x in X]).reshape(rows, classes)
+    assert np.array_equal(both.predicted, Z.argmax(axis=1))
+    alpha = np.exp(np.clip(Z, -30.0, 30.0))
+    np.testing.assert_allclose(both.referable, alpha[:, 0] / alpha.sum(axis=1), rtol=0.0, atol=1e-12)
 
     # scores read the Dirichlet of logits_to_alpha, which clamps logits to +-30
     Z = np.clip([forward(model, x) for x in X], -30.0, 30.0).reshape(rows, classes)
@@ -125,36 +135,112 @@ def test_calibrate_threshold_validation():
 THRESHOLDS = ScreeningThresholds(tau_d=0.5, tau_c=0.8)
 
 
+OUTCOMES = list(Outcome)
+
+
+def route_row(s_d, s_c, thresholds, predicted_class):
+    """The per-row rule: the classifier gate first, then the detector gate."""
+    if s_c > thresholds.tau_c:
+        return Outcome.DISCARD, -1
+    if s_d > thresholds.tau_d:
+        return Outcome.HUMAN_REVIEW, predicted_class
+    return Outcome.TRUSTED, predicted_class
+
+
 def test_route_decision_outcomes():
-    trusted = route_decision(0.2, 0.3, THRESHOLDS, 1)
-    assert trusted.outcome is Outcome.TRUSTED
-    assert trusted.predicted_class == 1
-    assert (trusted.s_d, trusted.s_c) == (0.2, 0.3)
-
-    review = route_decision(0.6, 0.3, THRESHOLDS, 2)
-    assert review.outcome is Outcome.HUMAN_REVIEW
-    assert review.predicted_class == 2
-
-    discard = route_decision(0.2, 0.9, THRESHOLDS, 0)
-    assert discard.outcome is Outcome.DISCARD
-    assert discard.predicted_class is None
-
+    outcome, predicted = route_decision(
+        np.array([0.2, 0.6, 0.2, 0.9]), np.array([0.3, 0.3, 0.9, 0.9]), THRESHOLDS, np.array([1, 2, 0, 0])
+    )
     # the classifier gate wins even when both scores are high
-    assert route_decision(0.9, 0.9, THRESHOLDS, 0).outcome is Outcome.DISCARD
+    assert [OUTCOMES[o] for o in outcome] == [
+        Outcome.TRUSTED, Outcome.HUMAN_REVIEW, Outcome.DISCARD, Outcome.DISCARD
+    ]
+    assert predicted.tolist() == [1, 2, -1, -1]
+
+    outcome, predicted = route_decision(np.zeros(0), np.zeros(0), THRESHOLDS, np.zeros(0, dtype=int))
+    assert outcome.shape == predicted.shape == (0,)
 
 
 def test_route_decision_threshold_boundaries_do_not_flag():
-    at_both = route_decision(0.5, 0.8, THRESHOLDS, 0)
-    assert at_both.outcome is Outcome.TRUSTED
-    nudged = route_decision(math.nextafter(0.5, 1.0), 0.8, THRESHOLDS, 0)
-    assert nudged.outcome is Outcome.HUMAN_REVIEW
+    outcome, _ = route_decision([0.5, math.nextafter(0.5, 1.0), 0.5], [0.8, 0.8, math.nextafter(0.8, 1.0)], THRESHOLDS, [0, 0, 0])
+    assert [OUTCOMES[o] for o in outcome] == [Outcome.TRUSTED, Outcome.HUMAN_REVIEW, Outcome.DISCARD]
 
 
 def test_route_decision_rejects_non_finite():
     with pytest.raises(ValueError):
-        route_decision(math.nan, 0.1, THRESHOLDS, 0)
+        route_decision([math.nan], [0.1], THRESHOLDS, [0])
     with pytest.raises(ValueError):
-        route_decision(0.1, math.inf, THRESHOLDS, 0)
+        route_decision([0.1], [math.inf], THRESHOLDS, [0])
+    with pytest.raises(ValueError):
+        route_decision([0.1, 0.2], [0.1], THRESHOLDS, [0, 0])
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# thresholds within 1e300 stay finite when nudged up one ulp or raised by 1e300
+taus = st.floats(-1e300, 1e300)
+
+
+@st.composite
+def routing_cases(draw):
+    """Thresholds plus rows whose scores often sit at, or one ulp from, a threshold."""
+    thresholds = ScreeningThresholds(draw(taus), draw(taus))
+
+    def near(tau):
+        return st.one_of(
+            finite,
+            st.sampled_from([tau, math.nextafter(tau, math.inf), math.nextafter(tau, -math.inf)]),
+        )
+
+    n = draw(st.integers(0, 40))
+    s_d = draw(st.lists(near(thresholds.tau_d), min_size=n, max_size=n))
+    s_c = draw(st.lists(near(thresholds.tau_c), min_size=n, max_size=n))
+    classes = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    return thresholds, np.array(s_d, dtype=float), np.array(s_c, dtype=float), np.array(classes, dtype=int)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(routing_cases())
+def test_route_decision_matches_per_row_rule(case):
+    thresholds, s_d, s_c, classes = case
+    outcome, predicted = route_decision(s_d, s_c, thresholds, classes)
+    want = [route_row(d, c, thresholds, k) for d, c, k in zip(s_d.tolist(), s_c.tolist(), classes.tolist())]
+    assert [(OUTCOMES[o], k) for o, k in zip(outcome.tolist(), predicted.tolist())] == want
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(tau_d=taus, tau_c=taus)
+def test_route_decision_flags_only_above_threshold(tau_d, tau_c):
+    thresholds = ScreeningThresholds(tau_d, tau_c)
+    up_d, up_c = math.nextafter(tau_d, math.inf), math.nextafter(tau_c, math.inf)
+    outcome, predicted = route_decision([tau_d, up_d, tau_d], [tau_c, tau_c, up_c], thresholds, [4, 4, 4])
+    assert [OUTCOMES[o] for o in outcome] == [Outcome.TRUSTED, Outcome.HUMAN_REVIEW, Outcome.DISCARD]
+    assert predicted.tolist() == [4, 4, -1]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(routing_cases(), st.floats(0.0, 1e300), st.floats(0.0, 1e300))
+def test_route_decision_is_monotone_in_thresholds(case, raise_d, raise_c):
+    # outcome indices run from least to most flagged
+    thresholds, s_d, s_c, classes = case
+    before, _ = route_decision(s_d, s_c, thresholds, classes)
+    higher = [
+        ScreeningThresholds(thresholds.tau_d + raise_d, thresholds.tau_c),
+        ScreeningThresholds(thresholds.tau_d, thresholds.tau_c + raise_c),
+    ]
+    for raised in higher:
+        after, _ = route_decision(s_d, s_c, raised, classes)
+        assert np.all(after <= before)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(routing_cases(), st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans(), st.integers(0))
+def test_route_decision_rejects_any_non_finite_score(case, bad, detector_side, where):
+    thresholds, s_d, s_c, classes = case
+    if s_d.size == 0:
+        s_d, s_c, classes = np.zeros(1), np.zeros(1), np.zeros(1, dtype=int)
+    (s_d if detector_side else s_c)[where % s_d.size] = bad
+    with pytest.raises(ValueError, match="finite"):
+        route_decision(s_d, s_c, thresholds, classes)
 
 
 def test_screening_thresholds_validation():
@@ -219,18 +305,23 @@ def test_ood_detection_rate_strictness():
         ood_detection_rate(scores, math.inf)
 
 
+def referable_posterior(classifier, features):
+    alpha = np.exp(np.clip(forward_batch(classifier, features), -30.0, 30.0))
+    return alpha[:, 0] / alpha.sum(axis=1)
+
+
 def test_discard_and_rescore_baseline_row(classifier, detector):
     test = gen_in_domain(90, 3, seed=47)
     val = gen_in_domain(90, 3, seed=48)
-    rows = discard_and_rescore(classifier, detector, test, val, (0.0, 0.05, 0.1, 0.2))
+    prob = referable_posterior(classifier, test.features)
+    s_test = score_set(detector, test.features, ScoreKind.MUTUAL_INFORMATION)
+    s_val = score_set(detector, val.features, ScoreKind.MUTUAL_INFORMATION)
+    rows = discard_and_rescore(prob, test.labels, s_test, s_val, (0.0, 0.05, 0.1, 0.2))
     assert [r.drop_fraction for r in rows] == [0.0, 0.05, 0.1, 0.2]
     assert rows[0].retained == 90
     retained = [r.retained for r in rows]
     assert retained == sorted(retained, reverse=True)
 
-    Z = forward_batch(classifier, test.features)
-    alpha = np.exp(np.clip(Z, -30.0, 30.0))
-    prob = alpha[:, 0] / alpha.sum(axis=1)
     want = auroc(prob[test.labels != 0], prob[test.labels == 0])
     assert rows[0].auroc == want
 
@@ -251,17 +342,26 @@ def test_discard_and_rescore_reports_nan_when_class_vanishes(classifier):
         np.concatenate([np.zeros(20, dtype=int), np.ones(40, dtype=int)]),
     )
     val = ExampleSet(np.column_stack([np.full(30, 8.0), np.linspace(-1.0, 1.0, 30)]))
-    rows = discard_and_rescore(classifier, picky, test, val, (0.3,))
+    rows = discard_and_rescore(
+        referable_posterior(classifier, test.features),
+        test.labels,
+        score_set(picky, test.features, ScoreKind.MUTUAL_INFORMATION),
+        score_set(picky, val.features, ScoreKind.MUTUAL_INFORMATION),
+        (0.3,),
+    )
     assert math.isnan(rows[0].auroc)
     assert rows[0].retained == 40
 
 
-def test_discard_and_rescore_validation(classifier, detector):
-    test = gen_in_domain(30, 3, seed=59)
-    val = gen_in_domain(30, 3, seed=60)
+def test_discard_and_rescore_validation():
+    prob, labels, s_test, s_val = np.full(4, 0.5), np.array([0, 1, 0, 1]), np.zeros(4), np.zeros(4)
+    with pytest.raises(ValueError, match="labeled"):
+        discard_and_rescore(prob, None, s_test, s_val, (0.0,))
     with pytest.raises(ValueError):
-        discard_and_rescore(classifier, detector, ExampleSet(test.features), val, (0.0,))
+        discard_and_rescore(prob, labels, s_test, s_val, (1.0,))
     with pytest.raises(ValueError):
-        discard_and_rescore(classifier, detector, test, val, (1.0,))
-    with pytest.raises(ValueError):
-        discard_and_rescore(classifier, detector, test, val, (-0.1,))
+        discard_and_rescore(prob, labels, s_test, s_val, (-0.1,))
+    with pytest.raises(ValueError, match="empty"):
+        discard_and_rescore(prob[:0], labels[:0], s_test[:0], s_val, (0.0,))
+    with pytest.raises(ValueError, match="one entry per example"):
+        discard_and_rescore(prob, labels[:3], s_test, s_val, (0.0,))
