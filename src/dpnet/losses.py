@@ -9,9 +9,10 @@ Two per-example losses over raw logits:
   and the predicted posterior, with the same sigmoid term weighted by
   lambda_out (negative values flatten the Dirichlet below alpha_k = 1).
 
-The batch objective mixes one in-domain batch with a gamma-weighted
-batch from each out-of-distribution source and returns loss parts plus
-accumulated parameter gradients.
+Both are one row loss with a different target row. The batch objective
+mixes one in-domain batch with a gamma-weighted batch from each
+out-of-distribution source in one stacked forward and backward pass,
+and returns loss parts plus parameter gradients.
 """
 
 from __future__ import annotations
@@ -47,36 +48,27 @@ def _log_softmax(Z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _check_logits(z, name: str = "z") -> np.ndarray:
+def _check_logits(z) -> np.ndarray:
     arr = np.asarray(z, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
-        raise ValueError(f"{name} must be a 1-D logit vector with K >= 2")
+        raise ValueError("z must be a 1-D logit vector with K >= 2")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
+        raise ValueError("z must be finite")
     return arr
 
 
-def _in_batch(Z: np.ndarray, labels: np.ndarray, lambda_in: float):
-    """Per-row in-domain loss and dL/dZ for an (n, K) logit batch."""
-    n, k = Z.shape
-    logp = _log_softmax(Z)
-    p = np.exp(logp)
-    sig = _sigmoid(Z)
-    losses = -logp[np.arange(n), labels] - (lambda_in / k) * sig.sum(axis=1)
-    dZ = p.copy()
-    dZ[np.arange(n), labels] -= 1.0
-    dZ -= (lambda_in / k) * sig * (1.0 - sig)
-    return losses, dZ
+def _loss_rows(Z: np.ndarray, target: np.ndarray, lam: np.ndarray):
+    """Per-row loss and dL/dZ for (n, K) logits.
 
-
-def _out_batch(Z: np.ndarray, lambda_out: float):
-    """Per-row uniform cross-entropy loss and dL/dZ."""
-    _, k = Z.shape
+    Each row is the cross-entropy against its target distribution
+    (one-hot in-domain, uniform 1/K out of distribution) minus
+    (lam / K) sum_c sigmoid(z_c), with one lambda per row.
+    """
+    c = lam / Z.shape[1]
     logp = _log_softmax(Z)
-    p = np.exp(logp)
     sig = _sigmoid(Z)
-    losses = -logp.mean(axis=1) - (lambda_out / k) * sig.sum(axis=1)
-    dZ = p - 1.0 / k - (lambda_out / k) * sig * (1.0 - sig)
+    losses = -(target * logp).sum(axis=1) - c * sig.sum(axis=1)
+    dZ = np.exp(logp) - target - c[:, None] * sig * (1.0 - sig)
     return losses, dZ
 
 
@@ -86,14 +78,15 @@ def loss_in(z, label: int, lambda_in: float):
     y = int(label)
     if not 0 <= y < arr.size:
         raise ValueError(f"label {y} outside [0, {arr.size})")
-    losses, dZ = _in_batch(arr[None, :], np.array([y]), float(lambda_in))
+    losses, dZ = _loss_rows(arr[None, :], np.eye(arr.size)[[y]], np.array([float(lambda_in)]))
     return float(losses[0]), dZ[0]
 
 
 def loss_out(z, lambda_out: float):
     """Out-of-distribution loss and its logit gradient for one example."""
     arr = _check_logits(z)
-    losses, dZ = _out_batch(arr[None, :], float(lambda_out))
+    target = np.full((1, arr.size), 1.0 / arr.size)
+    losses, dZ = _loss_rows(arr[None, :], target, np.array([float(lambda_out)]))
     return float(losses[0]), dZ[0]
 
 
@@ -139,49 +132,52 @@ def objective_batch(
 ) -> ObjectiveResult:
     """Mean in-domain loss plus gamma-weighted mean loss per OOD batch.
 
-    Gradients for all parameters are accumulated in one backward pass
-    per batch; rows enter each reduction in input order, so results are
-    deterministic.
+    The in-domain rows and then each OOD batch, in term order, are
+    stacked into one batch: one forward pass, one per-row loss, and one
+    backward pass on a dL/dZ already scaled by 1/n (in-domain) and
+    gamma_j/m_j (source j). Rows enter each reduction in stacking order,
+    so results are deterministic.
     """
     X = np.asarray(in_features, dtype=float)
     y = np.asarray(in_labels)
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise ValueError(f"in_features must have shape (n, {model.input_dim})")
-    if X.shape[0] == 0:
+    d, k = model.input_dim, model.num_classes
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"in_features must have shape (n, {d})")
+    n = X.shape[0]
+    if n == 0:
         raise ValueError("in-domain batch must not be empty")
-    if y.shape != (X.shape[0],):
+    if y.shape != (n,):
         raise ValueError("in_labels must match in_features rows")
-    labels = y.astype(int)
-    if np.any(labels < 0) or np.any(labels >= model.num_classes):
-        raise ValueError(f"labels outside [0, {model.num_classes})")
+    if not np.issubdtype(y.dtype, np.integer) or y.min() < 0 or y.max() >= k:
+        raise ValueError(f"in_labels must be integers in [0, {k})")
     if len(ood_batches) != len(cfg.ood_terms):
         raise ValueError(
             f"got {len(ood_batches)} OOD batches for {len(cfg.ood_terms)} configured terms"
         )
+    batches = [np.asarray(b, dtype=float) for b in ood_batches]
+    for term, B in zip(cfg.ood_terms, batches):
+        if B.ndim != 2 or B.shape[1] != d:
+            raise ValueError(f"OOD batch must have shape (m, {d})")
+        if B.shape[0] == 0 and term.gamma != 0.0:
+            raise ValueError("empty OOD batch with nonzero gamma")
+    S = np.concatenate([X, *batches])
+    if not np.isfinite(S).all():
+        raise ValueError("in_features and OOD batches must be finite")
 
-    n = X.shape[0]
-    Z, pre, acts = _forward_cached(model, X)
-    in_losses, dZ = _in_batch(Z, labels, cfg.lambda_in)
-    in_loss = float(in_losses.mean())
-    grads = _backward_cached(model, pre, acts, dZ / n)
+    sizes = [n, *(len(B) for B in batches)]
+    target = np.full((len(S), k), 1.0 / k)
+    target[:n] = 0.0
+    target[np.arange(n), y] = 1.0
+    lam = np.repeat([cfg.lambda_in, *(t.lambda_out for t in cfg.ood_terms)], sizes)
+    weight = np.repeat(
+        [1.0 / n, *(t.gamma / max(m, 1) for t, m in zip(cfg.ood_terms, sizes[1:]))], sizes
+    )
 
-    total = in_loss
-    ood_losses = []
-    for term, batch in zip(cfg.ood_terms, ood_batches):
-        B = np.asarray(batch, dtype=float)
-        if B.ndim != 2 or B.shape[1] != model.input_dim:
-            raise ValueError(f"OOD batch must have shape (m, {model.input_dim})")
-        if B.shape[0] == 0:
-            if term.gamma != 0.0:
-                raise ValueError("empty OOD batch with nonzero gamma")
-            ood_losses.append(0.0)
-            continue
-        Zb, pre_b, acts_b = _forward_cached(model, B)
-        part_losses, dZb = _out_batch(Zb, term.lambda_out)
-        part = float(part_losses.mean())
-        ood_losses.append(part)
-        total += term.gamma * part
-        if term.gamma != 0.0:
-            grads.add_(_backward_cached(model, pre_b, acts_b, dZb * (term.gamma / B.shape[0])))
+    Z, pre, acts = _forward_cached(model, S)
+    losses, dZ = _loss_rows(Z, target, lam)
+    grads = _backward_cached(model, pre, acts, dZ * weight[:, None])
 
-    return ObjectiveResult(total, in_loss, tuple(ood_losses), grads)
+    ends = np.cumsum([0, *sizes]).tolist()
+    parts = [float(losses[a:b].mean()) if b > a else 0.0 for a, b in zip(ends, ends[1:])]
+    total = parts[0] + sum(t.gamma * part for t, part in zip(cfg.ood_terms, parts[1:]))
+    return ObjectiveResult(total, parts[0], tuple(parts[1:]), grads)

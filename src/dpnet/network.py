@@ -89,12 +89,6 @@ class GradientSet:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    def add_(self, other: "GradientSet") -> None:
-        for a, b in zip(self.weights, other.weights):
-            a += b
-        for a, b in zip(self.biases, other.biases):
-            a += b
-
 
 def init_model(layer_sizes, seed: int, activation: str = "relu") -> FeedForwardModel:
     """Seeded He initialization: W ~ N(0, 2/fan_in), biases zero."""

@@ -96,6 +96,17 @@ def evaluate_accuracy(model: FeedForwardModel, examples: ExampleSet) -> float:
     return float((preds == examples.labels).mean())
 
 
+def _check_labeled_set(model: FeedForwardModel, examples: ExampleSet, name: str) -> None:
+    if examples.labels is None:
+        raise ValueError(f"{name} set must be labeled")
+    if len(examples) == 0:
+        raise ValueError(f"{name} set must not be empty")
+    if examples.dim != model.input_dim:
+        raise ValueError(f"{name} features do not match the model input dim")
+    if examples.labels.max() >= model.num_classes:
+        raise ValueError(f"{name} labels exceed the model's class count")
+
+
 def train(
     model: FeedForwardModel,
     train_set: ExampleSet,
@@ -109,14 +120,9 @@ def train(
     parameters equal the input's; a non-finite loss aborts with the
     offending step in the message.
     """
-    if train_set.labels is None:
-        raise ValueError("training set must be labeled")
-    if len(train_set) == 0:
-        raise ValueError("training set must not be empty")
-    if train_set.dim != model.input_dim:
-        raise ValueError("training features do not match the model input dim")
-    if train_set.labels.max(initial=0) >= model.num_classes:
-        raise ValueError("training labels exceed the model's class count")
+    _check_labeled_set(model, train_set, "training")
+    if val_set is not None:
+        _check_labeled_set(model, val_set, "validation")
     if len(ood_sets) != len(cfg.objective.ood_terms):
         raise ValueError(
             f"got {len(ood_sets)} OOD sets for {len(cfg.objective.ood_terms)} objective terms"

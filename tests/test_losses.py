@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpnet.losses import ObjectiveConfig, OodTerm, loss_in, loss_out, objective_batch
-from dpnet.network import init_model
+from dpnet.network import backward, forward_batch, init_model
 
 
 def fd_logit_grad(fn, z, h=1e-5):
@@ -116,6 +118,14 @@ def test_objective_input_validation():
         objective_batch(model, X, y, [np.zeros((0, 2))], cfg)  # empty OOD, gamma > 0
     with pytest.raises(ValueError):
         objective_batch(model, X, np.array([0, 3]), [X], cfg)  # label out of range
+    with pytest.raises(ValueError):
+        objective_batch(model, X, np.array([1.7, 0.2]), [X], cfg)  # non-integer labels
+    for bad in (np.nan, np.inf, -np.inf):
+        poisoned = np.array([[0.0, 0.0], [0.5, bad]])
+        with pytest.raises(ValueError):
+            objective_batch(model, poisoned, y, [X], cfg)  # non-finite in-domain row
+        with pytest.raises(ValueError):
+            objective_batch(model, X, y, [poisoned], cfg)  # non-finite OOD row
     # empty OOD batch is fine when its gamma is 0
     ok = objective_batch(model, X, y, [np.zeros((0, 2))], ObjectiveConfig(0.1, (OodTerm(0.0, -1.0),)))
     assert ok.ood_losses == (0.0,)
@@ -159,6 +169,68 @@ def test_objective_gradients_match_finite_differences():
         write(theta)
         worst = max(worst, rel_err(analytic, fd, 1e-6))
     assert worst <= 1e-4
+
+
+@st.composite
+def objective_cases(draw):
+    hidden = draw(st.lists(st.integers(1, 10), min_size=1, max_size=3))
+    classes = draw(st.integers(2, 5))
+    activation = draw(st.sampled_from(["relu", "tanh"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = init_model((2, *hidden, classes), int(rng.integers(1 << 30)), activation)
+    n = draw(st.integers(1, 20))
+    X = rng.normal(0.0, 2.0, (n, 2))
+    y = rng.integers(0, classes, n)
+    terms, batches = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(st.integers(0, 70))
+        gamma = 0.0 if m == 0 else draw(st.sampled_from([0.0, 0.3, 1.0, 2.5]))
+        terms.append(OodTerm(gamma, draw(st.floats(-1.5, 0.5))))
+        batches.append(rng.normal(0.0, 4.0, (m, 2)))
+    cfg = ObjectiveConfig(draw(st.floats(0.0, 1.0)), tuple(terms))
+    return model, X, y, batches, cfg
+
+
+def per_source_objective(model, X, y, batches, cfg):
+    """Per-row losses and per-row backward passes, source by source, summed."""
+    grads = [np.zeros_like(p) for p in model.weights + model.biases]
+
+    def source(rows, row_losses, scale):
+        for x, (_, dz) in zip(rows, row_losses):
+            g = backward(model, x, dz * scale)
+            for acc, part in zip(grads, g.weights + g.biases):
+                acc += part
+        return float(np.mean([value for value, _ in row_losses])) if row_losses else 0.0
+
+    in_rows = [loss_in(z, int(c), cfg.lambda_in) for z, c in zip(forward_batch(model, X), y)]
+    in_loss = source(X, in_rows, 1 / len(X))
+    ood_losses = [
+        source(B, [loss_out(z, t.lambda_out) for z in forward_batch(model, B)], t.gamma / max(len(B), 1))
+        for t, B in zip(cfg.ood_terms, batches)
+    ]
+    total = in_loss + sum(t.gamma * part for t, part in zip(cfg.ood_terms, ood_losses))
+    return total, in_loss, ood_losses, grads
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(objective_cases())
+def test_stacked_objective_matches_per_source_reference(case):
+    model, X, y, batches, cfg = case
+    result = objective_batch(model, X, y, batches, cfg)
+    total, in_loss, ood_losses, grads = per_source_objective(model, X, y, batches, cfg)
+
+    def close(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+        return float(np.max(np.abs(a - b), initial=0.0)) <= 1e-12 * scale
+
+    assert close(result.total, total)
+    assert close(result.in_loss, in_loss)
+    assert len(result.ood_losses) == len(ood_losses)
+    assert close(result.ood_losses, ood_losses)
+    for got, want in zip(result.gradients.weights + result.gradients.biases, grads, strict=True):
+        assert got.shape == want.shape
+        assert close(got, want)
 
 
 def test_objective_deterministic():

@@ -172,6 +172,15 @@ def test_train_input_validation():
         train(model, labeled, [ExampleSet(np.zeros((0, 2)))], cfg)
     with pytest.raises(ValueError, match="input dim"):
         train(model, labeled, [ExampleSet(np.zeros((4, 3)))], cfg)
+    # the validation set is checked on entry, not after the first epoch
+    for val, message in [
+        (ExampleSet(np.zeros((4, 3)), np.zeros(4, dtype=int)), "validation features"),
+        (ExampleSet(labeled.features), "validation set must be labeled"),
+        (ExampleSet(labeled.features, np.full(30, 3, dtype=int)), "validation labels"),
+        (ExampleSet(np.zeros((0, 2)), np.zeros(0, dtype=int)), "validation set must not be empty"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            train(model, labeled, [labeled], cfg, val_set=val)
 
 
 def test_evaluate_accuracy_validation_and_value():
