@@ -9,8 +9,12 @@ file byte for byte.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import math
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -35,17 +39,30 @@ def _out_dir(cfg: cfgmod.ExperimentConfig, override: str | None) -> Path:
     return out
 
 
+def _dataset_path(out: Path, name: str) -> Path:
+    path = out / name
+    if not path.exists():
+        raise FileNotFoundError(f"missing dataset file {path}")
+    return path
+
+
 def _load_dataset(
     out: Path, name: str, classifier: network.FeedForwardModel | None = None
 ) -> data.ExampleSet:
     """Load a generated dataset; with a classifier, check its feature count too."""
-    path = out / name
-    if not path.exists():
-        raise FileNotFoundError(f"missing dataset file {path}")
+    path = _dataset_path(out, name)
     examples = data.load_csv(path)
     if classifier is not None:
         _check_dim(path, examples, classifier)
     return examples
+
+
+def _load_validation(out: Path, classifier: network.FeedForwardModel) -> data.ExampleSet:
+    """in_val.csv, the set both thresholds are calibrated on; it must have rows."""
+    val_set = _load_dataset(out, "in_val.csv", classifier)
+    if len(val_set) == 0:
+        raise ValueError(f"{out / 'in_val.csv'}: no validation rows")
+    return val_set
 
 
 def cmd_gen(cfg: cfgmod.ExperimentConfig, out: Path) -> int:
@@ -146,6 +163,99 @@ def _calibrated_thresholds(
     )
 
 
+_THRESHOLDS_FILE = "thresholds.json"
+_THRESHOLDS_FORMAT = "dpnet-thresholds-v1"
+_STRING, _INTEGER, _NUMBER = (str, "a string"), (int, "an integer"), ((int, float), "a number")
+# every key of thresholds.json, with the JSON type its value must have
+_THRESHOLD_KEYS = {
+    "classifier_sha256": _STRING,
+    "detector_sha256": _STRING,
+    "drop_fraction_classifier": _NUMBER,
+    "drop_fraction_detector": _NUMBER,
+    "format": _STRING,
+    "in_val_rows": _INTEGER,
+    "in_val_sha256": _STRING,
+    "tau_c": _NUMBER,
+    "tau_d": _NUMBER,
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _calibration_inputs(cfg: cfgmod.ExperimentConfig, ckpts: list[str], val_path: Path) -> dict:
+    """The thresholds.json fields that must all match for its thresholds to be reused."""
+    return {
+        "classifier_sha256": _sha256(ckpts[0]),
+        "detector_sha256": _sha256(ckpts[1]),
+        "drop_fraction_classifier": cfg.screening.drop_fraction_classifier,
+        "drop_fraction_detector": cfg.screening.drop_fraction_detector,
+        "format": _THRESHOLDS_FORMAT,
+        "in_val_sha256": _sha256(val_path),
+    }
+
+
+def _write_thresholds(
+    path: Path, inputs: dict, val_rows: int, thresholds: pipeline.ScreeningThresholds
+) -> None:
+    """Write thresholds.json to a temp file beside it, then move that into place."""
+    blob = {**inputs, "in_val_rows": val_rows, "tau_c": thresholds.tau_c, "tau_d": thresholds.tau_d}
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="\n") as fh:
+            json.dump(blob, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _read_thresholds(path: Path) -> dict | None:
+    """thresholds.json checked for every key, type and finite taus; None if absent."""
+    try:
+        blob = json.loads(path.read_bytes())
+    except FileNotFoundError:
+        return None
+    except ValueError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(blob, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    for key, (kind, name) in _THRESHOLD_KEYS.items():
+        if key not in blob:
+            raise ValueError(f"{path}: missing key {key!r}")
+        if not isinstance(blob[key], kind) or isinstance(blob[key], bool):
+            raise ValueError(f"{path}: {key} must be {name}")
+    for key in ("tau_d", "tau_c"):
+        if not math.isfinite(blob[key]):
+            raise ValueError(f"{path}: {key} must be finite")
+    return blob
+
+
+def _screening_thresholds(
+    cfg: cfgmod.ExperimentConfig,
+    ckpts: list[str],
+    classifier: network.FeedForwardModel,
+    detector: network.FeedForwardModel,
+    out: Path,
+) -> pipeline.ScreeningThresholds:
+    """Stored thresholds while thresholds.json matches; else calibrate and rewrite it."""
+    inputs = _calibration_inputs(cfg, ckpts, _dataset_path(out, "in_val.csv"))
+    path = out / _THRESHOLDS_FILE
+    stored = _read_thresholds(path)
+    if stored is not None and all(stored[key] == value for key, value in inputs.items()):
+        return pipeline.ScreeningThresholds(tau_d=float(stored["tau_d"]), tau_c=float(stored["tau_c"]))
+    val_set = _load_validation(out, classifier)
+    thresholds = _calibrated_thresholds(
+        cfg, pipeline.screen_scores(classifier, detector, val_set.features)
+    )
+    _write_thresholds(path, inputs, len(val_set), thresholds)
+    return thresholds
+
+
 _OUTCOME_NAMES = [o.value for o in pipeline.Outcome]
 
 
@@ -167,15 +277,20 @@ def _decision_rows(
 
 
 def cmd_screen(cfg: cfgmod.ExperimentConfig, ckpts: list[str], input_path: str, out: Path) -> int:
+    """Route every row of ``input_path``: write decisions.csv, print the outcome counts.
+
+    The thresholds come from ``<out>/thresholds.json`` when its format tag,
+    both drop fractions and the SHA-256 digests of both checkpoints and
+    ``in_val.csv`` match; then ``in_val.csv`` is hashed but not parsed.
+    Otherwise both thresholds are calibrated on ``in_val.csv`` and the file
+    is rewritten. A malformed file is refused, naming it.
+    """
     classifier, detector = _load_model_pair(ckpts)
-    val_set = _load_dataset(out, "in_val.csv", classifier)
+    thresholds = _screening_thresholds(cfg, ckpts, classifier, detector, out)
     examples = data.load_csv(input_path)
     if len(examples) == 0:
         raise ValueError(f"{input_path}: no rows to screen")
     _check_dim(input_path, examples, classifier)
-    thresholds = _calibrated_thresholds(
-        cfg, pipeline.screen_scores(classifier, detector, val_set.features)
-    )
     scores = pipeline.screen_scores(classifier, detector, examples.features)
     lines, counts = _decision_rows(thresholds, scores, "")
     _write_lines(out / "decisions.csv", ["id,s_d,s_c,outcome,predicted_class"] + lines)
@@ -186,9 +301,15 @@ def cmd_screen(cfg: cfgmod.ExperimentConfig, ckpts: list[str], input_path: str, 
 
 
 def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
+    """Write scores.csv, detection_rates.csv, rescore_auroc.csv and thresholds.json.
+
+    Both thresholds are always calibrated on ``in_val.csv`` here, and
+    thresholds.json records them for ``screen`` to reuse.
+    """
     classifier, detector = _load_model_pair(ckpts)
-    names = ("in_val", "in_test", "shifted_test", "far_ood")
-    sets = {name: _load_dataset(out, f"{name}.csv", classifier) for name in names}
+    sets = {"in_val": _load_validation(out, classifier)}
+    for name in ("in_test", "shifted_test", "far_ood"):
+        sets[name] = _load_dataset(out, f"{name}.csv", classifier)
     scores = {
         name: pipeline.screen_scores(classifier, detector, examples.features)
         for name, examples in sets.items()
@@ -196,6 +317,12 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
     s_val = scores["in_val"].s_d
 
     thresholds = _calibrated_thresholds(cfg, scores["in_val"])
+    _write_thresholds(
+        out / _THRESHOLDS_FILE,
+        _calibration_inputs(cfg, ckpts, out / "in_val.csv"),
+        len(sets["in_val"]),
+        thresholds,
+    )
     score_lines: list[str] = []
     for name in ("in_test", "shifted_test", "far_ood"):
         score_lines.extend(_decision_rows(thresholds, scores[name], f"{name}/")[0])
@@ -279,8 +406,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "plot":
             out = Path(args.out)

@@ -1,7 +1,9 @@
-"""Smoke test of the benchmark harness: one tiny bulk-screening run per mode.
+"""Smoke test of the benchmark harness: tiny runs checked against the oracle.
 
-The traced set-up runs gen, train, eval and screen, so this one workload
-exercises every traced function. No timing is asserted.
+The traced set-up runs gen, train, eval and screen, so the bulk workload
+exercises every traced function. Set-up's eval writes thresholds.json, so
+the request workload's screens reuse it, and the oracle, which calibrates
+on its own, checks that reuse path. No timing is asserted.
 """
 
 import json
@@ -15,10 +17,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-@pytest.mark.parametrize("trace, declared", [(0, "end_to_end"), (1, "per_layer")])
-def test_bench_screen_bulk_tiny(trace, declared):
+def run_tiny(workload: str, trace: int, declared: str) -> None:
     argv = [
-        sys.executable, "bench/run.py", "--workload", "screen_bulk", "--seed", "3",
+        sys.executable, "bench/run.py", "--workload", workload, "--seed", "3",
         "--seconds", "0", "--trace", str(trace), "--tiny",
     ]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
@@ -30,3 +31,12 @@ def test_bench_screen_bulk_tiny(trace, declared):
         (m["name"], m["unit"]) for m in SPEC[declared]
     ]
     assert [n for n, m in metrics.items() if m["value"] == 0 and n != "trace.overhead_ms"] == []
+
+
+@pytest.mark.parametrize("trace, declared", [(0, "end_to_end"), (1, "per_layer")])
+def test_bench_screen_bulk_tiny(trace, declared):
+    run_tiny("screen_bulk", trace, declared)
+
+
+def test_bench_screen_requests_tiny():
+    run_tiny("screen_requests", 0, "end_to_end")

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import math
@@ -378,3 +379,160 @@ def test_cli_reports_broken_config(tmp_path, capsys):
     rc = cli.main(["gen", "--config", str(path)])
     assert rc == 1
     assert "error: config: model.hidden must be a list" in capsys.readouterr().err
+
+
+def test_cli_parses_each_call_afresh(experiment, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_screen", lambda cfg, ckpts, path, out: seen.append(ckpts) or 0)
+    screen = ["screen", "--config", experiment["cfg"], "--input", "rows.csv"]
+    assert cli.main([*screen, "--checkpoint", "a", "--checkpoint", "b"]) == 0
+    assert cli.main([*screen, "--checkpoint", "c"]) == 0
+    with pytest.raises(SystemExit):
+        cli.main([*screen, "--checkpoint", "d", "--unknown"])
+    with pytest.raises(SystemExit):
+        cli.main(["screen", "--config", experiment["cfg"], "--checkpoint", "e"])
+    assert cli.main([*screen, "--checkpoint", "f", "--checkpoint", "g"]) == 0
+    assert seen == [["a", "b"], ["c"], ["f", "g"]]
+
+
+RUN_FILES = ("in_val.csv", "in_test.csv", "shifted_test.csv", "far_ood.csv", "classifier.ckpt", "detector.ckpt")
+
+
+def copy_run(experiment, dest) -> list[str]:
+    """Copy the datasets and checkpoints into ``dest``; returns the --checkpoint flags."""
+    for name in RUN_FILES:
+        (dest / name).write_bytes((experiment["out"] / name).read_bytes())
+    return ["--checkpoint", str(dest / "classifier.ckpt"), "--checkpoint", str(dest / "detector.ckpt")]
+
+
+def screen_argv(cfg: str, ckpts: list[str], out) -> list[str]:
+    return ["screen", "--config", cfg, *ckpts, "--input", str(out / "shifted_test.csv"), "--out", str(out)]
+
+
+def test_cli_rejects_empty_validation_set(experiment, tmp_path, capsys):
+    ckpts = copy_run(experiment, tmp_path)
+    (tmp_path / "in_val.csv").write_text("features:2,label:1\n")
+    expected = f"error: {tmp_path / 'in_val.csv'}: no validation rows\n"
+    for argv in (
+        screen_argv(experiment["cfg"], ckpts, tmp_path),
+        ["eval", "--config", experiment["cfg"], *ckpts, "--out", str(tmp_path)],
+    ):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == expected
+
+
+def test_screen_reuses_thresholds_byte_for_byte(experiment, tmp_path):
+    ckpts = copy_run(experiment, tmp_path)
+    screen = screen_argv(experiment["cfg"], ckpts, tmp_path)
+    thresholds = tmp_path / "thresholds.json"
+    rc, cold = run_cli(screen)
+    assert rc == 0
+    decisions, written = (tmp_path / "decisions.csv").read_bytes(), thresholds.read_bytes()
+    rc, warm = run_cli(screen)
+    assert rc == 0 and warm == cold
+    assert (tmp_path / "decisions.csv").read_bytes() == decisions
+    assert thresholds.read_bytes() == written
+    for _ in range(2):
+        rc, _ = run_cli(["eval", "--config", experiment["cfg"], *ckpts, "--out", str(tmp_path)])
+        assert rc == 0 and thresholds.read_bytes() == written
+    # no paths inside: the shared experiment's run, elsewhere on disk, wrote the same bytes
+    assert (experiment["out"] / "thresholds.json").read_bytes() == written
+
+    blob = json.loads(written)
+    assert list(blob) == sorted(blob)
+    assert blob["format"] == "dpnet-thresholds-v1"
+    assert blob["in_val_rows"] == 120
+    for key, name in [("classifier_sha256", "classifier.ckpt"), ("detector_sha256", "detector.ckpt"),
+                      ("in_val_sha256", "in_val.csv")]:
+        assert blob[key] == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert (blob["drop_fraction_detector"], blob["drop_fraction_classifier"]) == (0.05, 0.01)
+    assert all(math.isfinite(blob[key]) for key in ("tau_d", "tau_c"))
+
+
+def plant_thresholds(path, **changes) -> bytes:
+    """Rewrite thresholds.json with both taus at -1 (every row discarded) plus ``changes``."""
+    blob = {**json.loads(path.read_text()), "tau_d": -1.0, "tau_c": -1.0, **changes}
+    path.write_text(json.dumps(blob))
+    return path.read_bytes()
+
+
+def test_screen_obeys_matching_thresholds_file(experiment, tmp_path):
+    ckpts = copy_run(experiment, tmp_path)
+    screen = screen_argv(experiment["cfg"], ckpts, tmp_path)
+    assert run_cli(screen)[0] == 0
+    planted = plant_thresholds(tmp_path / "thresholds.json")
+    rc, stdout = run_cli(screen)
+    assert rc == 0
+    assert "trusted=0\nhuman_review=0\ndiscard=120\n" in stdout
+    assert (tmp_path / "thresholds.json").read_bytes() == planted
+
+
+def perturb_checkpoint(path) -> None:
+    model = load_checkpoint(path)
+    model.weights[0][0, 0] += 1e-3
+    save_checkpoint(model, path)
+
+
+def drop_last_row(path) -> None:
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")
+
+
+@pytest.mark.parametrize("change", [
+    "classifier.ckpt", "detector.ckpt", "in_val.csv",
+    "drop_fraction_detector", "drop_fraction_classifier", "format",
+])
+def test_screen_recalibrates_stale_thresholds_file(experiment, tmp_path, change):
+    ckpts = copy_run(experiment, tmp_path)
+    cfg = experiment["cfg"]
+    assert run_cli(screen_argv(cfg, ckpts, tmp_path))[0] == 0
+    planted = plant_thresholds(
+        tmp_path / "thresholds.json", **({"format": "dpnet-thresholds-v0"} if change == "format" else {})
+    )
+    if change.endswith(".ckpt"):
+        perturb_checkpoint(tmp_path / change)
+    elif change == "in_val.csv":
+        drop_last_row(tmp_path / change)
+    elif change.startswith("drop_fraction"):
+        screening = dataclasses.replace(ScreeningConfig(), **{change: 0.1})
+        cfg = str(tmp_path / "config.json")
+        save_config(dataclasses.replace(small_config(str(tmp_path)), screening=screening), cfg)
+
+    rc, stdout = run_cli(screen_argv(cfg, ckpts, tmp_path))
+    assert rc == 0 and "discard=120" not in stdout
+    rewritten = (tmp_path / "thresholds.json").read_bytes()
+    assert rewritten != planted
+    # eval always calibrates: the rewritten file must be what it writes
+    assert run_cli(["eval", "--config", cfg, *ckpts, "--out", str(tmp_path)])[0] == 0
+    assert (tmp_path / "thresholds.json").read_bytes() == rewritten
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda blob: "{not json", "invalid JSON"),
+    (lambda blob: "[1, 2]", "expected a JSON object"),
+    (lambda blob: json.dumps({k: v for k, v in blob.items() if k != "tau_c"}), "missing key 'tau_c'"),
+    (lambda blob: json.dumps({**blob, "tau_d": "0.1"}), "tau_d must be a number"),
+    (lambda blob: json.dumps({**blob, "tau_d": math.nan}), "tau_d must be finite"),
+], ids=["bad-json", "not-an-object", "missing-key", "string-tau", "nan-tau"])
+def test_screen_refuses_malformed_thresholds_file(experiment, tmp_path, capsys, corrupt, message):
+    ckpts = copy_run(experiment, tmp_path)
+    screen = screen_argv(experiment["cfg"], ckpts, tmp_path)
+    path = tmp_path / "thresholds.json"
+    assert cli.main(screen) == 0
+    path.write_text(corrupt(json.loads(path.read_text())))
+    capsys.readouterr()
+    assert cli.main(screen) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}"), err
+
+
+def test_screen_without_validation_file_fails_cold_and_warm(experiment, tmp_path, capsys):
+    ckpts = copy_run(experiment, tmp_path)
+    screen = screen_argv(experiment["cfg"], ckpts, tmp_path)
+    assert cli.main(screen) == 0
+    (tmp_path / "in_val.csv").unlink()
+    for _ in ("warm", "cold"):
+        capsys.readouterr()
+        assert cli.main(screen) == 1
+        assert capsys.readouterr().err == f"error: missing dataset file {tmp_path / 'in_val.csv'}\n"
+        (tmp_path / "thresholds.json").unlink(missing_ok=True)
