@@ -304,12 +304,15 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
     """Write scores.csv, detection_rates.csv, rescore_auroc.csv and thresholds.json.
 
     Both thresholds are always calibrated on ``in_val.csv`` here, and
-    thresholds.json records them for ``screen`` to reuse.
+    thresholds.json records them for ``screen`` to reuse. A dataset file
+    without rows is refused before anything is written.
     """
     classifier, detector = _load_model_pair(ckpts)
     sets = {"in_val": _load_validation(out, classifier)}
     for name in ("in_test", "shifted_test", "far_ood"):
         sets[name] = _load_dataset(out, f"{name}.csv", classifier)
+        if len(sets[name]) == 0:
+            raise ValueError(f"{out / name}.csv: no rows")
     scores = {
         name: pipeline.screen_scores(classifier, detector, examples.features)
         for name, examples in sets.items()

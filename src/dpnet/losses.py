@@ -173,9 +173,9 @@ def objective_batch(
         [1.0 / n, *(t.gamma / max(m, 1) for t, m in zip(cfg.ood_terms, sizes[1:]))], sizes
     )
 
-    Z, pre, acts = _forward_cached(model, S)
+    Z, acts = _forward_cached(model, S)
     losses, dZ = _loss_rows(Z, target, lam)
-    grads = _backward_cached(model, pre, acts, dZ * weight[:, None])
+    grads = _backward_cached(model, acts, dZ * weight[:, None])
 
     ends = np.cumsum([0, *sizes]).tolist()
     parts = [float(losses[a:b].mean()) if b > a else 0.0 for a, b in zip(ends, ends[1:])]

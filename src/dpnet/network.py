@@ -2,14 +2,14 @@
 
 A desk-scale stand-in for a large image backbone: a handful of dense
 layers, relu or tanh hidden activations, raw logits out. Weights are
-drawn from seeded generators so every model is reproducible, and
-checkpoints round-trip byte-identically.
+drawn from seeded generators so every model is reproducible. All of a
+model's parameters are one float64 vector: the checkpoint payload.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,9 +27,10 @@ __all__ = [
 
 CHECKPOINT_MAGIC = "dpnet-v1"
 
+# (activation of the pre-activation s, its derivative as a function of the activation h)
 _ACTIVATIONS = {
-    "relu": (lambda s: np.maximum(s, 0.0), lambda s: (s > 0.0).astype(float)),
-    "tanh": (np.tanh, lambda s: 1.0 - np.tanh(s) ** 2),
+    "relu": (lambda s: np.maximum(s, 0.0), lambda h: h > 0.0),
+    "tanh": (np.tanh, lambda h: 1.0 - h**2),
 }
 
 
@@ -44,12 +45,30 @@ def _check_sizes(layer_sizes: tuple[int, ...]) -> tuple[int, ...]:
     return sizes
 
 
+def _param_count(sizes: tuple[int, ...]) -> int:
+    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
+def _param_views(sizes: tuple[int, ...], flat: np.ndarray):
+    """Views (weights, biases) into flat, laid out W0, b0, W1, b1, ...; no other code knows it."""
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
+        pos += fan_out * fan_in
+        biases.append(flat[pos : pos + fan_out])
+        pos += fan_out
+    return weights, biases
+
+
 @dataclass
 class FeedForwardModel:
+    """Dense network; the constructor copies weights and biases into params and keeps views."""
+
     layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]  # weights[l] has shape (out_l, in_l)
     biases: list[np.ndarray]
     activation: str = "relu"
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.layer_sizes = _check_sizes(self.layer_sizes)
@@ -58,12 +77,16 @@ class FeedForwardModel:
         n_layers = len(self.layer_sizes) - 1
         if len(self.weights) != n_layers or len(self.biases) != n_layers:
             raise ValueError("weights/biases do not match layer_sizes")
+        self.params = np.empty(_param_count(self.layer_sizes))
+        weights, biases = _param_views(self.layer_sizes, self.params)
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            want = (self.layer_sizes[l + 1], self.layer_sizes[l])
-            if w.shape != want or b.shape != (want[0],):
+            if w.shape != weights[l].shape or b.shape != biases[l].shape:
                 raise ValueError(f"layer {l}: parameter shape mismatch")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {l}: parameters must be finite")
+            weights[l][...] = w
+            biases[l][...] = b
+        if not np.isfinite(self.params).all():
+            raise ValueError("parameters must be finite")
+        self.weights, self.biases = weights, biases
 
     @property
     def input_dim(self) -> int:
@@ -74,18 +97,15 @@ class FeedForwardModel:
         return self.layer_sizes[-1]
 
     def copy(self) -> "FeedForwardModel":
-        return FeedForwardModel(
-            self.layer_sizes,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.activation,
-        )
+        """An independent model: the constructor copies into a new vector."""
+        return FeedForwardModel(self.layer_sizes, self.weights, self.biases, self.activation)
 
 
 @dataclass
 class GradientSet:
-    """Per-parameter gradients, same shapes as the model they came from."""
+    """Parameter gradients: one vector in the model's layout, with per-layer views."""
 
+    flat: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
@@ -104,19 +124,12 @@ def init_model(layer_sizes, seed: int, activation: str = "relu") -> FeedForwardM
 
 
 def _forward_cached(model: FeedForwardModel, X: np.ndarray):
-    """Batched forward pass keeping pre-activations and activations."""
+    """Batched forward pass returning the logits and the input of every layer."""
     act, _ = _ACTIVATIONS[model.activation]
-    pre = []
     acts = [X]
-    h = X
-    last = len(model.weights) - 1
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        s = h @ w.T + b
-        pre.append(s)
-        if l < last:
-            h = act(s)
-            acts.append(h)
-    return pre[-1], pre, acts
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        acts.append(act(acts[-1] @ w.T + b))
+    return acts[-1] @ model.weights[-1].T + model.biases[-1], acts
 
 
 def _as_batch(model: FeedForwardModel, x, name: str) -> np.ndarray:
@@ -130,7 +143,7 @@ def _as_batch(model: FeedForwardModel, x, name: str) -> np.ndarray:
 
 def forward(model: FeedForwardModel, x) -> np.ndarray:
     """Logits for a single input vector."""
-    z, _, _ = _forward_cached(model, _as_batch(model, x, "x"))
+    z, _ = _forward_cached(model, _as_batch(model, x, "x"))
     return z[0]
 
 
@@ -144,18 +157,18 @@ def forward_batch(model: FeedForwardModel, X) -> np.ndarray:
     return _forward_cached(model, arr)[0]
 
 
-def _backward_cached(model: FeedForwardModel, pre, acts, dZ: np.ndarray) -> GradientSet:
+def _backward_cached(model: FeedForwardModel, acts, dZ: np.ndarray) -> GradientSet:
     """Backpropagate upstream logit gradients dZ (n, K), summing over rows."""
     _, dact = _ACTIVATIONS[model.activation]
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    flat = np.empty_like(model.params)
+    grads_w, grads_b = _param_views(model.layer_sizes, flat)
     delta = dZ
     for l in range(len(model.weights) - 1, -1, -1):
-        grads_w[l] = delta.T @ acts[l]
-        grads_b[l] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[l], out=grads_w[l])
+        np.sum(delta, axis=0, out=grads_b[l])
         if l > 0:
-            delta = (delta @ model.weights[l]) * dact(pre[l - 1])
-    return GradientSet(grads_w, grads_b)
+            delta = (delta @ model.weights[l]) * dact(acts[l])
+    return GradientSet(flat, grads_w, grads_b)
 
 
 def backward(model: FeedForwardModel, x, dL_dz) -> GradientSet:
@@ -166,8 +179,8 @@ def backward(model: FeedForwardModel, x, dL_dz) -> GradientSet:
         raise ValueError(f"dL_dz must be a vector of length {model.num_classes}")
     if not np.all(np.isfinite(dz)):
         raise ValueError("dL_dz must be finite")
-    _, pre, acts = _forward_cached(model, X)
-    return _backward_cached(model, pre, acts, dz[None, :])
+    _, acts = _forward_cached(model, X)
+    return _backward_cached(model, acts, dz[None, :])
 
 
 def save_checkpoint(model: FeedForwardModel, path) -> None:
@@ -175,14 +188,8 @@ def save_checkpoint(model: FeedForwardModel, path) -> None:
     header = "\n".join(
         [CHECKPOINT_MAGIC, ",".join(str(s) for s in model.layer_sizes), model.activation]
     )
-    blocks = []
-    for w, b in zip(model.weights, model.biases):
-        blocks.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        blocks.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii") + b"\n")
-        for block in blocks:
-            fh.write(block)
+        fh.write(header.encode("ascii") + b"\n" + model.params.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> FeedForwardModel:
@@ -202,19 +209,10 @@ def load_checkpoint(path) -> FeedForwardModel:
     activation = act_line.decode("ascii", errors="replace")
     if activation not in _ACTIVATIONS:
         raise ValueError(f"{path}: unknown activation {activation!r}")
-    counts = [(o * i, o) for i, o in zip(sizes[:-1], sizes[1:])]
-    expect = 8 * sum(wn + bn for wn, bn in counts)
+    expect = 8 * _param_count(sizes)
     if len(blob) != expect:
         raise ValueError(f"{path}: expected {expect} parameter bytes, found {len(blob)}")
-    flat = np.frombuffer(blob, dtype="<f8").astype(float)
-    if not np.all(np.isfinite(flat)):
+    flat = np.frombuffer(blob, dtype="<f8")
+    if not np.isfinite(flat).all():
         raise ValueError(f"{path}: non-finite parameters")
-    weights = []
-    biases = []
-    pos = 0
-    for (wn, bn), (i, o) in zip(counts, zip(sizes[:-1], sizes[1:])):
-        weights.append(flat[pos : pos + wn].reshape(o, i).copy())
-        pos += wn
-        biases.append(flat[pos : pos + bn].copy())
-        pos += bn
-    return FeedForwardModel(sizes, weights, biases, activation)
+    return FeedForwardModel(sizes, *_param_views(sizes, flat), activation)

@@ -134,8 +134,7 @@ def train(
             raise ValueError("OOD features do not match the model input dim")
 
     work = model.copy()
-    vel_w = [np.zeros_like(w) for w in work.weights]
-    vel_b = [np.zeros_like(b) for b in work.biases]
+    velocity = np.zeros_like(work.params)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(1 + len(ood_sets))
     in_rng = np.random.default_rng(seeds[0])
@@ -167,11 +166,8 @@ def train(
             )
             if not math.isfinite(result.total):
                 raise RuntimeError(f"non-finite training loss at step {global_step}")
-            for l in range(len(work.weights)):
-                vel_w[l] = cfg.momentum * vel_w[l] - cfg.learning_rate * result.gradients.weights[l]
-                vel_b[l] = cfg.momentum * vel_b[l] - cfg.learning_rate * result.gradients.biases[l]
-                work.weights[l] += vel_w[l]
-                work.biases[l] += vel_b[l]
+            velocity = cfg.momentum * velocity - cfg.learning_rate * result.gradients.flat
+            work.params += velocity  # in place: work.weights/biases are views of params
             sums += [result.total, result.in_loss, *result.ood_losses]
             global_step += 1
 

@@ -1,9 +1,10 @@
 """Smoke test of the benchmark harness: tiny runs checked against the oracle.
 
-The traced set-up runs gen, train, eval and screen, so the bulk workload
-exercises every traced function. Set-up's eval writes thresholds.json, so
-the request workload's screens reuse it, and the oracle, which calibrates
-on its own, checks that reuse path. No timing is asserted.
+Every workload has a tiny run. The traced set-up runs gen, train, eval
+and screen, so the bulk workload exercises every traced function.
+Set-up's eval writes thresholds.json, so the request workload's screens
+reuse it, and the oracle, which calibrates on its own, checks that reuse
+path. No timing is asserted.
 """
 
 import json
@@ -40,3 +41,7 @@ def test_bench_screen_bulk_tiny(trace, declared):
 
 def test_bench_screen_requests_tiny():
     run_tiny("screen_requests", 0, "end_to_end")
+
+
+def test_bench_train_tiny():
+    run_tiny("train", 0, "end_to_end")

@@ -410,15 +410,24 @@ def screen_argv(cfg: str, ckpts: list[str], out) -> list[str]:
 
 
 def test_cli_rejects_empty_validation_set(experiment, tmp_path, capsys):
+    """Header-only in_val.csv fails screen and eval; a header-only test set fails eval.
+
+    Each error names the file, and nothing is written.
+    """
     ckpts = copy_run(experiment, tmp_path)
+    eval_argv = ["eval", "--config", experiment["cfg"], *ckpts, "--out", str(tmp_path)]
     (tmp_path / "in_val.csv").write_text("features:2,label:1\n")
     expected = f"error: {tmp_path / 'in_val.csv'}: no validation rows\n"
-    for argv in (
-        screen_argv(experiment["cfg"], ckpts, tmp_path),
-        ["eval", "--config", experiment["cfg"], *ckpts, "--out", str(tmp_path)],
-    ):
+    for argv in (screen_argv(experiment["cfg"], ckpts, tmp_path), eval_argv):
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == expected
+    for name in ("in_test.csv", "shifted_test.csv", "far_ood.csv"):
+        copy_run(experiment, tmp_path)
+        header = (tmp_path / name).read_text().split("\n", 1)[0]
+        (tmp_path / name).write_text(header + "\n")
+        assert cli.main(eval_argv) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / name}: no rows\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(RUN_FILES)
 
 
 def test_screen_reuses_thresholds_byte_for_byte(experiment, tmp_path):

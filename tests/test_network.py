@@ -1,9 +1,13 @@
 import gc
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpnet.network import (
     CHECKPOINT_MAGIC,
@@ -127,20 +131,45 @@ def test_backward_matches_finite_differences():
     assert worst <= 1e-4
 
 
-def test_checkpoint_roundtrip_bitwise(tmp_path):
-    model = init_model((2, 32, 32, 3), 9, "relu")
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path)
-    loaded = load_checkpoint(path)
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    inputs=st.integers(1, 4),
+    hidden=st.lists(st.integers(1, 10), min_size=1, max_size=3),
+    classes=st.integers(2, 5),
+    activation=st.sampled_from(["relu", "tanh"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(inputs=2, hidden=[32, 32], classes=3, activation="relu", seed=9)
+def test_checkpoint_roundtrip_bitwise(inputs, hidden, classes, activation, seed):
+    model = init_model((inputs, *hidden, classes), seed, activation)
+    # params is laid out W0, b0, W1, b1, ...: a write to it shows through every view
+    model.params[:] = np.random.default_rng(seed).normal(0.0, 1.0, model.params.size)
+    model.params[-1] = -0.0
+    layers = [a.ravel() for w, b in zip(model.weights, model.biases) for a in (w, b)]
+    assert np.concatenate(layers).tobytes() == model.params.tobytes()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        loaded = load_checkpoint(path)
+        # identical bytes when saved again
+        save_checkpoint(loaded, Path(tmp) / "again.ckpt")
+        assert (Path(tmp) / "again.ckpt").read_bytes() == raw
+    assert raw.split(b"\n", 3)[3] == model.params.astype("<f8").tobytes()
     assert loaded.layer_sizes == model.layer_sizes
     assert loaded.activation == model.activation
+    assert loaded.params.tobytes() == model.params.tobytes()
     for a, b in zip(model.weights + model.biases, loaded.weights + loaded.biases):
-        assert np.array_equal(a, b)
-    x = np.array([0.4, -1.1])
+        assert a.tobytes() == b.tobytes()
+        assert np.shares_memory(b, loaded.params)
+    x = np.linspace(-1.1, 0.4, inputs)
     assert np.array_equal(forward(model, x), forward(loaded, x))
-    # identical bytes when saved again
-    save_checkpoint(loaded, tmp_path / "again.ckpt")
-    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+    dup = model.copy()
+    assert dup.params.tobytes() == model.params.tobytes()
+    for a in [dup.params, *dup.weights, *dup.biases]:
+        assert not np.shares_memory(a, model.params)
 
 
 def test_checkpoint_load_closes_its_file(tmp_path):
@@ -196,6 +225,22 @@ def test_checkpoint_rejects_corruption(tmp_path):
     poisoned.write_bytes(b"dpnet-v1\n2,4,3\nrelu\n" + nan_blob.tobytes())
     with pytest.raises(ValueError, match="non-finite"):
         load_checkpoint(poisoned)
+
+    # every single-byte substitution in the three header lines is refused, naming the file
+    mutant = tmp_path / "mutant.ckpt"
+    loaded = []
+    for pos in range(len(b"dpnet-v1\n2,4,3\nrelu\n")):
+        for value in range(256):
+            if value == raw[pos]:
+                continue
+            mutant.write_bytes(raw[:pos] + bytes([value]) + raw[pos + 1 :])
+            try:
+                load_checkpoint(mutant)
+            except ValueError as exc:
+                assert str(mutant) in str(exc), (pos, value, exc)
+            else:
+                loaded.append((pos, value))
+    assert loaded == []
 
 
 def test_model_copy_is_independent():
