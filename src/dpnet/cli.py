@@ -9,6 +9,7 @@ file byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -33,39 +34,35 @@ def _write_lines(path: Path, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _out_dir(cfg: cfgmod.ExperimentConfig, override: str | None) -> Path:
-    out = Path(override) if override else Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _dataset_path(out: Path, name: str) -> Path:
-    path = out / name
-    if not path.exists():
-        raise FileNotFoundError(f"missing dataset file {path}")
-    return path
-
-
-def _load_dataset(
-    out: Path, name: str, classifier: network.FeedForwardModel | None = None
+def _load_rows(
+    path, dim: int | None = None, classes: int | None = None,
+    what: str = "rows", expect: str = "checkpoints expect",
 ) -> data.ExampleSet:
-    """Load a generated dataset; with a classifier, check its feature count too."""
-    path = _dataset_path(out, name)
-    examples = data.load_csv(path)
-    if classifier is not None:
-        _check_dim(path, examples, classifier)
+    """Load one dataset CSV a command reads, refusing it with its path.
+
+    Refused: a missing file, a file without rows (``no <what>``), a feature
+    count other than ``dim``, and, when ``classes`` is given, missing labels
+    or a label >= ``classes``. Malformed lines are refused by data.load_csv.
+    Commands load every input through here before they write any file.
+    """
+    try:
+        examples = data.load_csv(path)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"missing dataset file {path}") from None
+    if len(examples) == 0:
+        raise ValueError(f"{path}: no {what}")
+    if dim is not None and examples.dim != dim:
+        raise ValueError(f"{path}: {examples.dim} features, {expect} {dim}")
+    if classes is not None:
+        if examples.labels is None:
+            raise ValueError(f"{path}: no labels")
+        if examples.labels.max() >= classes:
+            raise ValueError(f"{path}: label {examples.labels.max()} >= {classes} classes")
     return examples
 
 
-def _load_validation(out: Path, classifier: network.FeedForwardModel) -> data.ExampleSet:
-    """in_val.csv, the set both thresholds are calibrated on; it must have rows."""
-    val_set = _load_dataset(out, "in_val.csv", classifier)
-    if len(val_set) == 0:
-        raise ValueError(f"{out / 'in_val.csv'}: no validation rows")
-    return val_set
-
-
 def cmd_gen(cfg: cfgmod.ExperimentConfig, out: Path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
     ds = cfg.dataset
     sets = {
         "in_train.csv": data.gen_in_domain(ds.train, ds.classes, ds.seed),
@@ -82,7 +79,9 @@ def cmd_gen(cfg: cfgmod.ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _resolve_ood_sources(cfg: cfgmod.ExperimentConfig, role: cfgmod.RoleConfig, out: Path):
+def _resolve_ood_sources(
+    cfg: cfgmod.ExperimentConfig, role: cfgmod.RoleConfig, out: Path, train_set: data.ExampleSet
+):
     """Map configured source names to example sets.
 
     far_ood comes from the generated file; shifted_train is a small
@@ -94,7 +93,9 @@ def _resolve_ood_sources(cfg: cfgmod.ExperimentConfig, role: cfgmod.RoleConfig, 
     terms = []
     for source in role.ood_sources:
         if source.name == "far_ood":
-            examples = _load_dataset(out, "far_ood.csv")
+            examples = _load_rows(
+                out / "far_ood.csv", train_set.dim, expect=f"{out / 'in_train.csv'} has"
+            )
         else:
             examples = data.gen_shifted(
                 ds.shifted_train, ds.classes, ds.shifted_train_seed, ds.shift, ds.scale
@@ -106,11 +107,14 @@ def _resolve_ood_sources(cfg: cfgmod.ExperimentConfig, role: cfgmod.RoleConfig, 
 
 def cmd_train(cfg: cfgmod.ExperimentConfig, role_name: str, out: Path) -> int:
     role = cfg.role(role_name)
-    train_set = _load_dataset(out, "in_train.csv")
-    val_set = _load_dataset(out, "in_val.csv")
-    ood_sets, ood_terms = _resolve_ood_sources(cfg, role, out)
+    classes, in_train = cfg.dataset.classes, out / "in_train.csv"
+    train_set = _load_rows(in_train, classes=classes)
+    val_set = _load_rows(
+        out / "in_val.csv", train_set.dim, classes, what="validation rows", expect=f"{in_train} has"
+    )
+    ood_sets, ood_terms = _resolve_ood_sources(cfg, role, out, train_set)
 
-    sizes = (train_set.dim, *cfg.model.hidden, cfg.dataset.classes)
+    sizes = (train_set.dim, *cfg.model.hidden, classes)
     model = network.init_model(sizes, role.init_seed, cfg.model.activation)
     train_cfg = training.TrainConfig(
         objective=ObjectiveConfig(role.lambda_in, ood_terms),
@@ -126,7 +130,7 @@ def cmd_train(cfg: cfgmod.ExperimentConfig, role_name: str, out: Path) -> int:
     network.save_checkpoint(trained, ckpt)
     report_path = out / f"{role_name}_report.json"
     with open(report_path, "w", newline="\n") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(
         f"wrote {ckpt} (selected epoch {report.selected_epoch}, "
@@ -143,15 +147,11 @@ def _load_model_pair(paths: list[str]) -> tuple[network.FeedForwardModel, networ
     if classifier.layer_sizes[0] != detector.layer_sizes[0] or (
         classifier.num_classes != detector.num_classes
     ):
-        raise ValueError("classifier and detector checkpoints disagree on dimensions")
-    return classifier, detector
-
-
-def _check_dim(path, examples: data.ExampleSet, classifier: network.FeedForwardModel) -> None:
-    if examples.dim != classifier.layer_sizes[0]:
         raise ValueError(
-            f"{path}: {examples.dim} features, checkpoints expect {classifier.layer_sizes[0]}"
+            f"checkpoints disagree on input or class count: classifier {paths[0]} has layer_sizes "
+            f"{list(classifier.layer_sizes)}, detector {paths[1]} has {list(detector.layer_sizes)}"
         )
+    return classifier, detector
 
 
 def _calibrated_thresholds(
@@ -180,8 +180,12 @@ _THRESHOLD_KEYS = {
 }
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _sha256(path) -> str | None:
+    """The file's SHA-256 hex digest; None if it is missing, which matches no stored digest."""
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except FileNotFoundError:
+        return None
 
 
 def _calibration_inputs(cfg: cfgmod.ExperimentConfig, ckpts: list[str], val_path: Path) -> dict:
@@ -243,12 +247,13 @@ def _screening_thresholds(
     out: Path,
 ) -> pipeline.ScreeningThresholds:
     """Stored thresholds while thresholds.json matches; else calibrate and rewrite it."""
-    inputs = _calibration_inputs(cfg, ckpts, _dataset_path(out, "in_val.csv"))
+    val_path = out / "in_val.csv"
+    inputs = _calibration_inputs(cfg, ckpts, val_path)
     path = out / _THRESHOLDS_FILE
     stored = _read_thresholds(path)
     if stored is not None and all(stored[key] == value for key, value in inputs.items()):
         return pipeline.ScreeningThresholds(tau_d=float(stored["tau_d"]), tau_c=float(stored["tau_c"]))
-    val_set = _load_validation(out, classifier)
+    val_set = _load_rows(val_path, classifier.layer_sizes[0], what="validation rows")
     thresholds = _calibrated_thresholds(
         cfg, pipeline.screen_scores(classifier, detector, val_set.features)
     )
@@ -283,14 +288,11 @@ def cmd_screen(cfg: cfgmod.ExperimentConfig, ckpts: list[str], input_path: str, 
     both drop fractions and the SHA-256 digests of both checkpoints and
     ``in_val.csv`` match; then ``in_val.csv`` is hashed but not parsed.
     Otherwise both thresholds are calibrated on ``in_val.csv`` and the file
-    is rewritten. A malformed file is refused, naming it.
+    is rewritten. A malformed file is refused, naming it, before any file is written.
     """
     classifier, detector = _load_model_pair(ckpts)
+    examples = _load_rows(input_path, classifier.layer_sizes[0])
     thresholds = _screening_thresholds(cfg, ckpts, classifier, detector, out)
-    examples = data.load_csv(input_path)
-    if len(examples) == 0:
-        raise ValueError(f"{input_path}: no rows to screen")
-    _check_dim(input_path, examples, classifier)
     scores = pipeline.screen_scores(classifier, detector, examples.features)
     lines, counts = _decision_rows(thresholds, scores, "")
     _write_lines(out / "decisions.csv", ["id,s_d,s_c,outcome,predicted_class"] + lines)
@@ -304,15 +306,18 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
     """Write scores.csv, detection_rates.csv, rescore_auroc.csv and thresholds.json.
 
     Both thresholds are always calibrated on ``in_val.csv`` here, and
-    thresholds.json records them for ``screen`` to reuse. A dataset file
-    without rows is refused before anything is written.
+    thresholds.json records them for ``screen`` to reuse. All four dataset
+    files are loaded and checked before anything is written.
     """
     classifier, detector = _load_model_pair(ckpts)
-    sets = {"in_val": _load_validation(out, classifier)}
-    for name in ("in_test", "shifted_test", "far_ood"):
-        sets[name] = _load_dataset(out, f"{name}.csv", classifier)
-        if len(sets[name]) == 0:
-            raise ValueError(f"{out / name}.csv: no rows")
+    dim = classifier.layer_sizes[0]
+    sets = {
+        "in_val": _load_rows(out / "in_val.csv", dim, what="validation rows"),
+        "in_test": _load_rows(out / "in_test.csv", dim),
+        # its labels are what discard_and_rescore scores
+        "shifted_test": _load_rows(out / "shifted_test.csv", dim, classifier.num_classes),
+        "far_ood": _load_rows(out / "far_ood.csv", dim),
+    }
     scores = {
         name: pipeline.screen_scores(classifier, detector, examples.features)
         for name, examples in sets.items()
@@ -359,9 +364,8 @@ def cmd_plot(ckpt: str, input_path: str, out: Path, resolution: int) -> int:
     model = network.load_checkpoint(ckpt)
     if model.num_classes != 3:
         raise ValueError("density grids need a 3-class model")
-    examples = data.load_csv(input_path)
-    if len(examples) == 0:
-        raise ValueError(f"{input_path}: no input point")
+    examples = _load_rows(input_path, model.layer_sizes[0])
+    out.mkdir(parents=True, exist_ok=True)
     from .dirichlet import density_grid, logits_to_alpha
 
     params = logits_to_alpha(network.forward(model, examples.features[0]))
@@ -416,11 +420,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         if args.command == "plot":
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            return cmd_plot(args.checkpoint, args.input, out, args.resolution)
+            return cmd_plot(args.checkpoint, args.input, Path(args.out), args.resolution)
         cfg = cfgmod.load_config(args.config)
-        out = _out_dir(cfg, args.out)
+        # only gen and plot create the directory: the others read their inputs from it
+        out = Path(args.out or cfg.out_dir)
         if args.command == "gen":
             return cmd_gen(cfg, out)
         if args.command == "train":

@@ -52,16 +52,6 @@ class TrainReport:
     selected_epoch: int = -1
     final_val_accuracy: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "loss_total": self.loss_total,
-            "loss_in": self.loss_in,
-            "loss_ood": self.loss_ood,
-            "val_accuracy": self.val_accuracy,
-            "selected_epoch": self.selected_epoch,
-            "final_val_accuracy": self.final_val_accuracy,
-        }
-
 
 class _Cycler:
     """Endless seeded sampler over a feature set, reshuffling on wraparound."""

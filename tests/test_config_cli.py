@@ -430,6 +430,76 @@ def test_cli_rejects_empty_validation_set(experiment, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(RUN_FILES)
 
 
+# every (command, input file) pair a command reads, with the defects that apply to it;
+# input.csv is the --input of screen and plot, and labels matter where train or eval uses them
+INPUT_DEFECTS = [
+    ("train", "in_train.csv", ("missing", "header-only", "unlabeled", "label-range")),
+    ("train", "in_val.csv", ("missing", "header-only", "wide", "unlabeled", "label-range")),
+    ("train", "far_ood.csv", ("missing", "header-only", "wide")),
+    ("eval", "in_val.csv", ("missing", "header-only", "wide")),
+    ("eval", "in_test.csv", ("missing", "header-only", "wide")),
+    ("eval", "shifted_test.csv", ("missing", "header-only", "wide", "unlabeled", "label-range")),
+    ("eval", "far_ood.csv", ("missing", "header-only", "wide")),
+    ("screen", "input.csv", ("missing", "header-only", "wide")),
+    ("screen", "in_val.csv", ("missing", "header-only", "wide")),
+    ("plot", "input.csv", ("missing", "header-only", "wide")),
+]
+
+
+@pytest.mark.parametrize("command, name, defect", [
+    (command, name, defect) for command, name, defects in INPUT_DEFECTS for defect in defects
+])
+def test_cli_refuses_bad_input_before_writing(experiment, tmp_path, capsys, command, name, defect):
+    """Each defect is refused with the file's path, exit 1, and no file created or changed."""
+    ckpts = copy_run(experiment, tmp_path)
+    (tmp_path / "in_train.csv").write_bytes((experiment["out"] / "in_train.csv").read_bytes())
+    (tmp_path / "input.csv").write_bytes((experiment["out"] / "in_test.csv").read_bytes())
+    path = tmp_path / name
+    header = path.read_text().split("\n", 1)[0]
+    label = ",0" if header.endswith("label:1") else ""
+    if defect == "missing":
+        path.unlink()
+    else:
+        path.write_text({
+            "header-only": header + "\n",
+            "wide": f"features:3,{header.split(',')[1]}\n0.0,1.0,2.0{label}\n",
+            "unlabeled": "features:2,label:0\n0.0,1.0\n",
+            "label-range": "features:2,label:1\n0.0,1.0,0\n0.5,0.5,3\n",
+        }[defect])
+    expect = f"{tmp_path / 'in_train.csv'} has" if command == "train" else "checkpoints expect"
+    message = {
+        "missing": f"missing dataset file {path}",
+        "header-only": f"{path}: no {'validation ' if name == 'in_val.csv' else ''}rows",
+        "wide": f"{path}: 3 features, {expect} 2",
+        "unlabeled": f"{path}: no labels",
+        "label-range": f"{path}: label 3 >= 3 classes",
+    }[defect]
+    argv = {
+        "train": ["train", "--config", experiment["cfg"], "--role", "classifier"],
+        "eval": ["eval", "--config", experiment["cfg"], *ckpts],
+        "screen": ["screen", "--config", experiment["cfg"], *ckpts, "--input", str(tmp_path / "input.csv")],
+        "plot": ["plot", *ckpts[:2], "--input", str(tmp_path / "input.csv")],
+    }[command]
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_refused_command_creates_no_out_dir(experiment, tmp_path):
+    out, absent = experiment["out"], tmp_path / "absent"
+    ckpts = ["--checkpoint", str(out / "classifier.ckpt"), "--checkpoint", str(out / "detector.ckpt")]
+    for argv in (
+        ["train", "--config", experiment["cfg"], "--role", "classifier"],
+        ["eval", "--config", experiment["cfg"], *ckpts],
+        ["screen", "--config", experiment["cfg"], *ckpts, "--input", str(out / "in_test.csv")],
+        ["plot", *ckpts[:2], "--input", str(tmp_path / "none.csv")],
+    ):
+        assert cli.main([*argv, "--out", str(absent)]) == 1
+        assert not absent.exists(), argv[0]
+
+
 def test_screen_reuses_thresholds_byte_for_byte(experiment, tmp_path):
     ckpts = copy_run(experiment, tmp_path)
     screen = screen_argv(experiment["cfg"], ckpts, tmp_path)

@@ -195,6 +195,7 @@ def test_evaluate_accuracy_validation_and_value():
 
 
 def test_report_to_dict_roundtrips_through_json():
+    import dataclasses
     import json
 
     report = TrainReport(
@@ -205,5 +206,5 @@ def test_report_to_dict_roundtrips_through_json():
         selected_epoch=1,
         final_val_accuracy=0.75,
     )
-    blob = json.dumps(report.to_dict())
+    blob = json.dumps(dataclasses.asdict(report))
     assert json.loads(blob)["selected_epoch"] == 1
