@@ -11,11 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
-import math
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -41,23 +37,20 @@ def _load_rows(
     """Load one dataset CSV a command reads, refusing it with its path.
 
     Refused: a missing file, a file without rows (``no <what>``), a feature
-    count other than ``dim``, and, when ``classes`` is given, missing labels
-    or a label >= ``classes``. Malformed lines are refused by data.load_csv.
+    count other than ``dim``, and, when ``classes`` is given, missing labels.
+    Malformed lines, and labels >= ``classes``, are refused by data.load_csv.
     Commands load every input through here before they write any file.
     """
     try:
-        examples = data.load_csv(path)
+        examples = data.load_csv(path, classes)
     except FileNotFoundError:
         raise FileNotFoundError(f"missing dataset file {path}") from None
     if len(examples) == 0:
         raise ValueError(f"{path}: no {what}")
     if dim is not None and examples.dim != dim:
         raise ValueError(f"{path}: {examples.dim} features, {expect} {dim}")
-    if classes is not None:
-        if examples.labels is None:
-            raise ValueError(f"{path}: no labels")
-        if examples.labels.max() >= classes:
-            raise ValueError(f"{path}: label {examples.labels.max()} >= {classes} classes")
+    if classes is not None and examples.labels is None:
+        raise ValueError(f"{path}: no labels")
     return examples
 
 
@@ -128,10 +121,7 @@ def cmd_train(cfg: cfgmod.ExperimentConfig, role_name: str, out: Path) -> int:
 
     ckpt = out / f"{role_name}.ckpt"
     network.save_checkpoint(trained, ckpt)
-    report_path = out / f"{role_name}_report.json"
-    with open(report_path, "w", newline="\n") as fh:
-        json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    cfgmod.write_json(out / f"{role_name}_report.json", dataclasses.asdict(report))
     print(
         f"wrote {ckpt} (selected epoch {report.selected_epoch}, "
         f"val accuracy {report.final_val_accuracy})"
@@ -165,19 +155,20 @@ def _calibrated_thresholds(
 
 _THRESHOLDS_FILE = "thresholds.json"
 _THRESHOLDS_FORMAT = "dpnet-thresholds-v1"
-_STRING, _INTEGER, _NUMBER = (str, "a string"), (int, "an integer"), ((int, float), "a number")
-# every key of thresholds.json, with the JSON type its value must have
-_THRESHOLD_KEYS = {
-    "classifier_sha256": _STRING,
-    "detector_sha256": _STRING,
-    "drop_fraction_classifier": _NUMBER,
-    "drop_fraction_detector": _NUMBER,
-    "format": _STRING,
-    "in_val_rows": _INTEGER,
-    "in_val_sha256": _STRING,
-    "tau_c": _NUMBER,
-    "tau_d": _NUMBER,
-}
+
+
+# thresholds.json: its keys, and the JSON type of each value
+@dataclasses.dataclass(frozen=True)
+class _StoredThresholds:
+    classifier_sha256: str
+    detector_sha256: str
+    drop_fraction_classifier: float
+    drop_fraction_detector: float
+    format: str
+    in_val_rows: int
+    in_val_sha256: str
+    tau_c: float
+    tau_d: float
 
 
 def _sha256(path) -> str | None:
@@ -203,40 +194,8 @@ def _calibration_inputs(cfg: cfgmod.ExperimentConfig, ckpts: list[str], val_path
 def _write_thresholds(
     path: Path, inputs: dict, val_rows: int, thresholds: pipeline.ScreeningThresholds
 ) -> None:
-    """Write thresholds.json to a temp file beside it, then move that into place."""
-    blob = {**inputs, "in_val_rows": val_rows, "tau_c": thresholds.tau_c, "tau_d": thresholds.tau_d}
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            json.dump(blob, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _read_thresholds(path: Path) -> dict | None:
-    """thresholds.json checked for every key, type and finite taus; None if absent."""
-    try:
-        blob = json.loads(path.read_bytes())
-    except FileNotFoundError:
-        return None
-    except ValueError as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(blob, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    for key, (kind, name) in _THRESHOLD_KEYS.items():
-        if key not in blob:
-            raise ValueError(f"{path}: missing key {key!r}")
-        if not isinstance(blob[key], kind) or isinstance(blob[key], bool):
-            raise ValueError(f"{path}: {key} must be {name}")
-    for key in ("tau_d", "tau_c"):
-        if not math.isfinite(blob[key]):
-            raise ValueError(f"{path}: {key} must be finite")
-    return blob
+    stored = _StoredThresholds(**inputs, in_val_rows=val_rows, **dataclasses.asdict(thresholds))
+    cfgmod.write_json(path, dataclasses.asdict(stored))
 
 
 def _screening_thresholds(
@@ -250,9 +209,9 @@ def _screening_thresholds(
     val_path = out / "in_val.csv"
     inputs = _calibration_inputs(cfg, ckpts, val_path)
     path = out / _THRESHOLDS_FILE
-    stored = _read_thresholds(path)
-    if stored is not None and all(stored[key] == value for key, value in inputs.items()):
-        return pipeline.ScreeningThresholds(tau_d=float(stored["tau_d"]), tau_c=float(stored["tau_c"]))
+    stored = cfgmod.read_json(path, _StoredThresholds) if path.exists() else None
+    if stored is not None and all(getattr(stored, key) == value for key, value in inputs.items()):
+        return pipeline.ScreeningThresholds(tau_d=stored.tau_d, tau_c=stored.tau_c)
     val_set = _load_rows(val_path, classifier.layer_sizes[0], what="validation rows")
     thresholds = _calibrated_thresholds(
         cfg, pipeline.screen_scores(classifier, detector, val_set.features)
@@ -325,12 +284,8 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
     s_val = scores["in_val"].s_d
 
     thresholds = _calibrated_thresholds(cfg, scores["in_val"])
-    _write_thresholds(
-        out / _THRESHOLDS_FILE,
-        _calibration_inputs(cfg, ckpts, out / "in_val.csv"),
-        len(sets["in_val"]),
-        thresholds,
-    )
+    inputs = _calibration_inputs(cfg, ckpts, out / "in_val.csv")
+    _write_thresholds(out / _THRESHOLDS_FILE, inputs, len(sets["in_val"]), thresholds)
     score_lines: list[str] = []
     for name in ("in_test", "shifted_test", "far_ood"):
         score_lines.extend(_decision_rows(thresholds, scores[name], f"{name}/")[0])

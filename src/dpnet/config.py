@@ -2,6 +2,7 @@
 
 The file is versioned (schema_version) and round-trips losslessly, so
 a stored config fully determines every artifact the commands write.
+Every JSON file dpnet writes or reads goes through write_json/read_json.
 """
 
 from __future__ import annotations
@@ -9,9 +10,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
+import os
+import sys
 import typing
 from dataclasses import dataclass, field
+from pathlib import Path
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -25,6 +28,8 @@ __all__ = [
     "default_config",
     "load_config",
     "save_config",
+    "read_json",
+    "write_json",
 ]
 
 SCHEMA_VERSION = "dpn-exp-v1"
@@ -41,9 +46,9 @@ class OodSourceConfig:
 
     def __post_init__(self) -> None:
         if self.name not in KNOWN_SOURCES:
-            raise ValueError(f"config: unknown OOD source {self.name!r}")
+            raise ValueError(f"unknown OOD source {self.name!r}")
         if self.gamma < 0.0:
-            raise ValueError("config: gamma must be >= 0")
+            raise ValueError("gamma must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -64,12 +69,12 @@ class DatasetConfig:
 
     def __post_init__(self) -> None:
         if self.classes < 2:
-            raise ValueError("config: dataset.classes must be >= 2")
+            raise ValueError("dataset.classes must be >= 2")
         for name in ("train", "val", "test", "shifted_test", "shifted_train", "far_ood"):
             if getattr(self, name) < 1:
-                raise ValueError(f"config: dataset.{name} must be >= 1")
+                raise ValueError(f"dataset.{name} must be >= 1")
         if self.scale <= 0.0:
-            raise ValueError("config: dataset.scale must be positive")
+            raise ValueError("dataset.scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -80,9 +85,9 @@ class ModelConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ValueError("config: model.hidden must be positive layer widths")
+            raise ValueError("model.hidden must be positive layer widths")
         if self.activation not in ("relu", "tanh"):
-            raise ValueError(f"config: unknown activation {self.activation!r}")
+            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -99,9 +104,9 @@ class RoleConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "ood_sources", tuple(self.ood_sources))
         if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("config: bad epochs/batch_size")
+            raise ValueError("bad epochs/batch_size")
         if self.learning_rate <= 0.0 or not 0.0 <= self.momentum < 1.0:
-            raise ValueError("config: bad learning_rate/momentum")
+            raise ValueError("bad learning_rate/momentum")
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,7 @@ class ScreeningConfig:
     def __post_init__(self) -> None:
         for p in (self.drop_fraction_detector, self.drop_fraction_classifier):
             if not 0.0 < p < 1.0:
-                raise ValueError("config: screening fractions must lie in (0, 1)")
+                raise ValueError("screening fractions must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,7 @@ class EvalConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "drop_fractions", tuple(float(p) for p in self.drop_fractions))
         if not self.drop_fractions or any(not 0.0 < p < 1.0 for p in self.drop_fractions):
-            raise ValueError("config: eval fractions must lie in (0, 1)")
+            raise ValueError("eval fractions must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -177,10 +182,8 @@ def default_config(out_dir: str = "runs/default") -> ExperimentConfig:
 _SCALARS = {
     str: ("a string", lambda v: isinstance(v, str)),
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: (
-        "a finite number",
-        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
-    ),
+    # compared, not converted: float() of a huge JSON integer would overflow
+    float: ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
 }
 
 
@@ -218,7 +221,7 @@ def _from_json(tp, value, where: str):
     """
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
-            raise ValueError(f"config: {where} must be an object")
+            raise ValueError(f"{where or 'top-level value'} must be an object")
         kwargs = {}
         for name, hint, optional in _fields(tp):
             if name in value:
@@ -226,16 +229,16 @@ def _from_json(tp, value, where: str):
             elif optional:
                 kwargs[name] = None
             else:
-                raise ValueError(f"config: missing key {name!r} in {where or 'config'}")
+                raise ValueError(f"missing key {name!r}" + (f" in {where}" if where else ""))
         return tp(**kwargs)
     if typing.get_origin(tp) is tuple:
         if not isinstance(value, list):
-            raise ValueError(f"config: {where} must be a list")
+            raise ValueError(f"{where} must be a list")
         item = typing.get_args(tp)[0]
         return tuple(_from_json(item, v, f"{where}[{i}]") for i, v in enumerate(value))
     kind, accepts = _SCALARS[tp]
     if not accepts(value):
-        raise ValueError(f"config: {where} must be {kind}")
+        raise ValueError(f"{where} must be {kind}")
     return tp(value)
 
 
@@ -245,22 +248,52 @@ def to_dict(cfg: ExperimentConfig) -> dict:
 
 def from_dict(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict) or "schema_version" not in d:
-        raise ValueError("config: missing key 'schema_version' in config")
+        raise ValueError("missing key 'schema_version'")
     if d["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(f"config: unsupported schema_version {d['schema_version']!r}")
+        raise ValueError(f"unsupported schema_version {d['schema_version']!r}")
     return _from_json(ExperimentConfig, d, "")
 
 
+def _load_json(path, build):
+    """build(value) for the JSON value in the file at path; every refusal starts with '<path>: '."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def read_json(path, cls):
+    """The dataclass cls, built from the JSON file at path after _from_json checks every field."""
+    return _load_json(path, functools.partial(_from_json, cls, where=""))
+
+
+def write_json(path, blob) -> None:
+    """Write blob to path as JSON with sorted keys, indent 2 and a trailing newline.
+
+    The bytes go to a temp file beside path, which is fsynced and then
+    renamed over it: a reader sees the old file or the new one, never a
+    part. On failure the temp file is removed and the old file is unchanged.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(blob, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
-    return from_dict(raw)
+    return _load_json(path, from_dict)
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, to_dict(cfg))

@@ -137,7 +137,9 @@ def _parse_header(line: str, path) -> tuple[int, bool]:
     return dim, bool(flag)
 
 
-def _raise_first_error(path, lines: list[str], dim: int, labeled: bool) -> None:
+def _raise_first_error(
+    path, lines: list[str], dim: int, labeled: bool, classes: int | None
+) -> None:
     """Check data lines one at a time and raise for the first malformed one."""
     want = dim + (1 if labeled else 0)
     for lineno, line in enumerate(lines[1:], start=2):
@@ -159,16 +161,23 @@ def _raise_first_error(path, lines: list[str], dim: int, labeled: bool) -> None:
                 raise ValueError(f"{path}:{lineno}: label must be an integer") from None
             if label < 0:
                 raise ValueError(f"{path}:{lineno}: label must be >= 0")
+            if classes is not None and label >= classes:
+                raise ValueError(f"{path}:{lineno}: label {label} >= {classes} classes")
 
 
-def load_csv(path) -> ExampleSet:
+def load_csv(path, classes: int | None = None) -> ExampleSet:
     """Parse a dataset CSV; malformed input raises with the line number.
 
-    The rows are parsed all at once; only when that fails are the lines
+    With ``classes`` given, a label >= ``classes`` is malformed too. The
+    rows are parsed all at once; only when that fails are the lines
     checked one at a time, to name the first malformed one.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:  # read() decodes the whole file, so exc.object is all of it
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
     if not lines or not lines[0].strip():
         raise ValueError(f"{path}:1: missing header")
     dim, labeled = _parse_header(lines[0], path)
@@ -182,14 +191,16 @@ def load_csv(path) -> ExampleSet:
         if labeled:
             labels = np.array([int(t) for t in tokens[dim::want]], dtype=np.int64)
             del tokens[dim::want]
-            if labels.size and labels.min() < 0:
-                raise ValueError("negative label")
+            if labels.size and (
+                labels.min() < 0 or classes is not None and labels.max() >= classes
+            ):
+                raise ValueError("label out of range")
         # np.array converts each str with Python's float, like the line check
         features = np.array(tokens, dtype=float).reshape(len(rows), dim)
         if not np.all(np.isfinite(features)):
             raise ValueError("non-finite feature")
     except ValueError:
-        _raise_first_error(path, lines, dim, labeled)
+        _raise_first_error(path, lines, dim, labeled, classes)
         raise
     return ExampleSet(features, labels)
 

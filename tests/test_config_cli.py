@@ -5,6 +5,7 @@ import io
 import json
 import math
 import operator
+import re
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -25,6 +26,7 @@ from dpnet.config import (
     load_config,
     save_config,
     to_dict,
+    write_json,
 )
 from dpnet.data import load_csv
 from dpnet.network import init_model, load_checkpoint, save_checkpoint
@@ -60,7 +62,7 @@ def test_config_rejects_other_schema_versions():
 DELETE = object()
 
 
-def test_config_errors_name_the_key_path():
+def test_config_errors_name_the_key_path(tmp_path):
     cases = [
         (("dataset", "train"), DELETE, "missing key 'train' in dataset"),
         (("dataset", "train"), "lots", r"dataset\.train must be an integer"),
@@ -74,7 +76,10 @@ def test_config_errors_name_the_key_path():
         (("evaluation", "drop_fractions"), 0.05, r"evaluation\.drop_fractions must be a list"),
         (("model", "hidden"), [32.7, 32], r"model\.hidden\[0\] must be an integer"),
         (("out_dir",), None, "out_dir must be a string"),
+        # float() of this integer overflows
+        (("dataset", "shift"), 10**400, r"dataset\.shift must be a finite number"),
     ]
+    file = tmp_path / "config.json"
     for path, value, message in cases:
         blob = to_dict(default_config())
         holder = functools.reduce(operator.getitem, path[:-1], blob)
@@ -84,13 +89,36 @@ def test_config_errors_name_the_key_path():
             holder[path[-1]] = value
         with pytest.raises(ValueError, match=message):
             from_dict(blob)
+        file.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(file))}: {message}"):
+            load_config(file)
+
+
+def test_write_json_replaces_the_file_whole(tmp_path):
+    path = tmp_path / "blob.json"
+    blob = {"b": [1, 2.5, None], "a": {"z": "x", "y": True}}
+    write_json(path, blob)
+    assert path.read_text() == json.dumps(blob, indent=2, sort_keys=True) + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["blob.json"]
+    # the umask-default mode, like every other artifact
+    (tmp_path / "plain").write_text("")
+    assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
+    (tmp_path / "plain").unlink()
+
+    written = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json(path, {"a": 1, "b": {2}})  # the dump fails at the set, after "a"
+    assert path.read_bytes() == written
+    assert [p.name for p in tmp_path.iterdir()] == ["blob.json"]
 
 
 def test_config_invalid_json_reports_path(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(ValueError, match="invalid JSON"):
-        load_config(path)
+    save_config(default_config(), path)
+    for text in (b"{not json", path.read_bytes() + b"\xff", b"[1, 2]"):
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_config(path)
 
 
 def test_component_validation():
@@ -378,7 +406,7 @@ def test_cli_reports_broken_config(tmp_path, capsys):
     path.write_text(json.dumps(blob))
     rc = cli.main(["gen", "--config", str(path)])
     assert rc == 1
-    assert "error: config: model.hidden must be a list" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {path}: model.hidden must be a list\n"
 
 
 def test_cli_parses_each_call_afresh(experiment, monkeypatch):
@@ -472,7 +500,7 @@ def test_cli_refuses_bad_input_before_writing(experiment, tmp_path, capsys, comm
         "header-only": f"{path}: no {'validation ' if name == 'in_val.csv' else ''}rows",
         "wide": f"{path}: 3 features, {expect} 2",
         "unlabeled": f"{path}: no labels",
-        "label-range": f"{path}: label 3 >= 3 classes",
+        "label-range": f"{path}:3: label 3 >= 3 classes",
     }[defect]
     argv = {
         "train": ["train", "--config", experiment["cfg"], "--role", "classifier"],
@@ -588,11 +616,15 @@ def test_screen_recalibrates_stale_thresholds_file(experiment, tmp_path, change)
 
 @pytest.mark.parametrize("corrupt, message", [
     (lambda blob: "{not json", "invalid JSON"),
-    (lambda blob: "[1, 2]", "expected a JSON object"),
+    (lambda blob: "[1, 2]", "top-level value must be an object"),
     (lambda blob: json.dumps({k: v for k, v in blob.items() if k != "tau_c"}), "missing key 'tau_c'"),
-    (lambda blob: json.dumps({**blob, "tau_d": "0.1"}), "tau_d must be a number"),
-    (lambda blob: json.dumps({**blob, "tau_d": math.nan}), "tau_d must be finite"),
-], ids=["bad-json", "not-an-object", "missing-key", "string-tau", "nan-tau"])
+    (lambda blob: json.dumps({**blob, "tau_d": "0.1"}), "tau_d must be a finite number"),
+    (lambda blob: json.dumps({**blob, "tau_d": math.nan}), "tau_d must be a finite number"),
+    (
+        lambda blob: json.dumps({**blob, "drop_fraction_detector": math.nan}),
+        "drop_fraction_detector must be a finite number",
+    ),
+], ids=["bad-json", "not-an-object", "missing-key", "string-tau", "nan-tau", "nan-drop-fraction"])
 def test_screen_refuses_malformed_thresholds_file(experiment, tmp_path, capsys, corrupt, message):
     ckpts = copy_run(experiment, tmp_path)
     screen = screen_argv(experiment["cfg"], ckpts, tmp_path)

@@ -212,8 +212,18 @@ def corruptions(want: int, labeled: bool) -> list[tuple[str, str]]:
     if want > 1:  # a one-field line with its field removed is blank, and skipped
         kinds.append(("missing field", "expected {want} fields, got {less}"))
     if labeled:
-        kinds += [("1.5", "label must be an integer"), ("-1", "label must be >= 0")]
+        kinds += [
+            ("1.5", "label must be an integer"),
+            ("-1", "label must be >= 0"),
+            (str(CLASSES), f"label {CLASSES} >= {CLASSES} classes"),
+        ]
+    # a lone surrogate is written as the raw byte 0xff
+    kinds.append(("\udcff", "not UTF-8 (invalid start byte)"))
     return kinds
+
+
+# one more than the largest label example_sets draws, so only the planted label is out of range
+CLASSES = 2**62 + 1
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -237,16 +247,16 @@ def test_csv_corrupt_line_is_named(data):
                 fields.append("0")
             elif how == "missing field":
                 fields.pop()
-            elif how in ("1.5", "-1"):
+            elif how in ("1.5", "-1", str(CLASSES)):
                 fields[dim] = how
             else:
                 fields[column] = how
             rows[bad_row] = ",".join(fields)
             text, numbers = with_blank_lines("\n".join([header, *rows]), blanks)
-            path.write_text(text)
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
             expected = message.format(want=want, more=want + 1, less=want - 1)
             with pytest.raises(ValueError) as err:
-                load_csv(path)
+                load_csv(path, CLASSES)
             assert str(err.value) == f"{path}:{numbers[bad_row]}: {expected}"
 
 
