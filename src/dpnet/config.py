@@ -69,12 +69,12 @@ class DatasetConfig:
 
     def __post_init__(self) -> None:
         if self.classes < 2:
-            raise ValueError("dataset.classes must be >= 2")
+            raise ValueError("classes must be >= 2")
         for name in ("train", "val", "test", "shifted_test", "shifted_train", "far_ood"):
             if getattr(self, name) < 1:
-                raise ValueError(f"dataset.{name} must be >= 1")
+                raise ValueError(f"{name} must be >= 1")
         if self.scale <= 0.0:
-            raise ValueError("dataset.scale must be positive")
+            raise ValueError("scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class ModelConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ValueError("model.hidden must be positive layer widths")
+            raise ValueError("hidden must be positive layer widths")
         if self.activation not in ("relu", "tanh"):
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -103,10 +103,14 @@ class RoleConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ood_sources", tuple(self.ood_sources))
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("bad epochs/batch_size")
-        if self.learning_rate <= 0.0 or not 0.0 <= self.momentum < 1.0:
-            raise ValueError("bad learning_rate/momentum")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.learning_rate <= 0.0:
+            raise ValueError("learning_rate must be positive")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -115,9 +119,9 @@ class ScreeningConfig:
     drop_fraction_classifier: float = 0.01
 
     def __post_init__(self) -> None:
-        for p in (self.drop_fraction_detector, self.drop_fraction_classifier):
-            if not 0.0 < p < 1.0:
-                raise ValueError("screening fractions must lie in (0, 1)")
+        for name in ("drop_fraction_detector", "drop_fraction_classifier"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,7 @@ class EvalConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "drop_fractions", tuple(float(p) for p in self.drop_fractions))
         if not self.drop_fractions or any(not 0.0 < p < 1.0 for p in self.drop_fractions):
-            raise ValueError("eval fractions must lie in (0, 1)")
+            raise ValueError("drop_fractions must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -217,11 +221,13 @@ def _from_json(tp, value, where: str):
     """Check a JSON value against the declared type tp and build it.
 
     where is the key path, used in every error message. A field whose
-    type admits None may be left out and then takes None.
+    type admits None may be left out and then takes None. A key that no
+    field declares is refused.
     """
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
             raise ValueError(f"{where or 'top-level value'} must be an object")
+        in_where = f" in {where}" if where else ""
         kwargs = {}
         for name, hint, optional in _fields(tp):
             if name in value:
@@ -229,8 +235,16 @@ def _from_json(tp, value, where: str):
             elif optional:
                 kwargs[name] = None
             else:
-                raise ValueError(f"missing key {name!r}" + (f" in {where}" if where else ""))
-        return tp(**kwargs)
+                raise ValueError(f"missing key {name!r}{in_where}")
+        unknown = [key for key in value if key not in kwargs]
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}{in_where}")
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            if not where:
+                raise
+            raise ValueError(f"{where}: {exc}") from None
     if typing.get_origin(tp) is tuple:
         if not isinstance(value, list):
             raise ValueError(f"{where} must be a list")
@@ -251,7 +265,7 @@ def from_dict(d: dict) -> ExperimentConfig:
         raise ValueError("missing key 'schema_version'")
     if d["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d['schema_version']!r}")
-    return _from_json(ExperimentConfig, d, "")
+    return _from_json(ExperimentConfig, {k: v for k, v in d.items() if k != "schema_version"}, "")
 
 
 def _load_json(path, build):

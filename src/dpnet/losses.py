@@ -35,17 +35,15 @@ __all__ = [
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _log_softmax(Z: np.ndarray) -> np.ndarray:
     shifted = Z - Z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted
 
 
 def _check_logits(z) -> np.ndarray:
@@ -57,18 +55,19 @@ def _check_logits(z) -> np.ndarray:
     return arr
 
 
-def _loss_rows(Z: np.ndarray, target: np.ndarray, lam: np.ndarray):
+def _loss_rows(Z: np.ndarray, target: np.ndarray, c: np.ndarray):
     """Per-row loss and dL/dZ for (n, K) logits.
 
     Each row is the cross-entropy against its target distribution
     (one-hot in-domain, uniform 1/K out of distribution) minus
-    (lam / K) sum_c sigmoid(z_c), with one lambda per row.
+    c sum_k sigmoid(z_k), with one c = lambda / K per row.
     """
-    c = lam / Z.shape[1]
     logp = _log_softmax(Z)
     sig = _sigmoid(Z)
     losses = -(target * logp).sum(axis=1) - c * sig.sum(axis=1)
-    dZ = np.exp(logp) - target - c[:, None] * sig * (1.0 - sig)
+    dZ = np.exp(logp)
+    dZ -= target
+    dZ -= c[:, None] * sig * (1.0 - sig)
     return losses, dZ
 
 
@@ -78,7 +77,8 @@ def loss_in(z, label: int, lambda_in: float):
     y = int(label)
     if not 0 <= y < arr.size:
         raise ValueError(f"label {y} outside [0, {arr.size})")
-    losses, dZ = _loss_rows(arr[None, :], np.eye(arr.size)[[y]], np.array([float(lambda_in)]))
+    c = np.array([float(lambda_in)]) / arr.size
+    losses, dZ = _loss_rows(arr[None, :], np.eye(arr.size)[[y]], c)
     return float(losses[0]), dZ[0]
 
 
@@ -86,7 +86,8 @@ def loss_out(z, lambda_out: float):
     """Out-of-distribution loss and its logit gradient for one example."""
     arr = _check_logits(z)
     target = np.full((1, arr.size), 1.0 / arr.size)
-    losses, dZ = _loss_rows(arr[None, :], target, np.array([float(lambda_out)]))
+    c = np.array([float(lambda_out)]) / arr.size
+    losses, dZ = _loss_rows(arr[None, :], target, c)
     return float(losses[0]), dZ[0]
 
 
@@ -165,19 +166,21 @@ def objective_batch(
         raise ValueError("in_features and OOD batches must be finite")
 
     sizes = [n, *(len(B) for B in batches)]
+    terms = cfg.ood_terms
     target = np.full((len(S), k), 1.0 / k)
     target[:n] = 0.0
     target[np.arange(n), y] = 1.0
-    lam = np.repeat([cfg.lambda_in, *(t.lambda_out for t in cfg.ood_terms)], sizes)
-    weight = np.repeat(
-        [1.0 / n, *(t.gamma / max(m, 1) for t, m in zip(cfg.ood_terms, sizes[1:]))], sizes
-    )
+    c = np.repeat([cfg.lambda_in, *(t.lambda_out for t in terms)], sizes) / k
+    weight = np.repeat([1.0 / n, *(t.gamma / max(m, 1) for t, m in zip(terms, sizes[1:]))], sizes)
 
     Z, acts = _forward_cached(model, S)
-    losses, dZ = _loss_rows(Z, target, lam)
-    grads = _backward_cached(model, acts, dZ * weight[:, None])
+    losses, dZ = _loss_rows(Z, target, c)
+    dZ *= weight[:, None]
+    grads = _backward_cached(model, acts, dZ)
 
-    ends = np.cumsum([0, *sizes]).tolist()
-    parts = [float(losses[a:b].mean()) if b > a else 0.0 for a, b in zip(ends, ends[1:])]
-    total = parts[0] + sum(t.gamma * part for t, part in zip(cfg.ood_terms, parts[1:]))
+    parts, a = [], 0
+    for m in sizes:
+        parts.append(float(losses[a : a + m].sum()) / m if m else 0.0)
+        a += m
+    total = parts[0] + sum(t.gamma * part for t, part in zip(terms, parts[1:]))
     return ObjectiveResult(total, parts[0], tuple(parts[1:]), grads)

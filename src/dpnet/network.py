@@ -27,10 +27,10 @@ __all__ = [
 
 CHECKPOINT_MAGIC = "dpnet-v1"
 
-# (activation of the pre-activation s, its derivative as a function of the activation h)
+# (activation applied in place to the pre-activation s, its derivative in terms of the activation h)
 _ACTIVATIONS = {
-    "relu": (lambda s: np.maximum(s, 0.0), lambda h: h > 0.0),
-    "tanh": (np.tanh, lambda h: 1.0 - h**2),
+    "relu": (lambda s: np.maximum(s, 0.0, out=s), lambda h: h > 0.0),
+    "tanh": (lambda s: np.tanh(s, out=s), lambda h: 1.0 - h**2),
 }
 
 
@@ -128,8 +128,12 @@ def _forward_cached(model: FeedForwardModel, X: np.ndarray):
     act, _ = _ACTIVATIONS[model.activation]
     acts = [X]
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        acts.append(act(acts[-1] @ w.T + b))
-    return acts[-1] @ model.weights[-1].T + model.biases[-1], acts
+        s = acts[-1] @ w.T
+        s += b
+        acts.append(act(s))
+    z = acts[-1] @ model.weights[-1].T
+    z += model.biases[-1]
+    return z, acts
 
 
 def _as_batch(model: FeedForwardModel, x, name: str) -> np.ndarray:
@@ -167,7 +171,8 @@ def _backward_cached(model: FeedForwardModel, acts, dZ: np.ndarray) -> GradientS
         np.matmul(delta.T, acts[l], out=grads_w[l])
         np.sum(delta, axis=0, out=grads_b[l])
         if l > 0:
-            delta = (delta @ model.weights[l]) * dact(acts[l])
+            delta = delta @ model.weights[l]
+            delta *= dact(acts[l])
     return GradientSet(flat, grads_w, grads_b)
 
 

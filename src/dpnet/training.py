@@ -142,21 +142,22 @@ def train(
 
     for epoch in range(cfg.epochs):
         order = in_rng.permutation(n)
+        # one gather per epoch; each step then takes a contiguous slice
+        features, labels = train_set.features[order], train_set.labels[order]
         sums = np.zeros(2 + len(ood_sets))
         for step in range(steps_per_epoch):
-            idx = order[step * cfg.batch_size : (step + 1) * cfg.batch_size]
+            rows = slice(step * cfg.batch_size, (step + 1) * cfg.batch_size)
             batches = [
                 ood_sets[j].features[cyclers[j].take(cfg.batch_size)]
                 if cyclers[j] is not None
                 else ood_sets[j].features
                 for j in range(len(ood_sets))
             ]
-            result = objective_batch(
-                work, train_set.features[idx], train_set.labels[idx], batches, cfg.objective
-            )
+            result = objective_batch(work, features[rows], labels[rows], batches, cfg.objective)
             if not math.isfinite(result.total):
                 raise RuntimeError(f"non-finite training loss at step {global_step}")
-            velocity = cfg.momentum * velocity - cfg.learning_rate * result.gradients.flat
+            velocity *= cfg.momentum
+            velocity -= cfg.learning_rate * result.gradients.flat
             work.params += velocity  # in place: work.weights/biases are views of params
             sums += [result.total, result.in_loss, *result.ood_losses]
             global_step += 1

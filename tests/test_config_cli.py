@@ -65,19 +65,42 @@ DELETE = object()
 def test_config_errors_name_the_key_path(tmp_path):
     cases = [
         (("dataset", "train"), DELETE, "missing key 'train' in dataset"),
-        (("dataset", "train"), "lots", r"dataset\.train must be an integer"),
-        (("dataset", "train"), True, r"dataset\.train must be an integer"),
+        (("dataset", "train"), "lots", "dataset.train must be an integer"),
+        (("dataset", "train"), True, "dataset.train must be an integer"),
         (
             ("classifier", "ood_sources", 0, "gamma"),
             math.nan,
-            r"classifier\.ood_sources\[0\]\.gamma must be a finite number",
+            "classifier.ood_sources[0].gamma must be a finite number",
         ),
-        (("model", "hidden"), 32, r"model\.hidden must be a list"),
-        (("evaluation", "drop_fractions"), 0.05, r"evaluation\.drop_fractions must be a list"),
-        (("model", "hidden"), [32.7, 32], r"model\.hidden\[0\] must be an integer"),
+        (("model", "hidden"), 32, "model.hidden must be a list"),
+        (("evaluation", "drop_fractions"), 0.05, "evaluation.drop_fractions must be a list"),
+        (("model", "hidden"), [32.7, 32], "model.hidden[0] must be an integer"),
         (("out_dir",), None, "out_dir must be a string"),
         # float() of this integer overflows
-        (("dataset", "shift"), 10**400, r"dataset\.shift must be a finite number"),
+        (("dataset", "shift"), 10**400, "dataset.shift must be a finite number"),
+        # keys no field declares; schema_version belongs to the top level only
+        (("classifier", "epoch"), 5, "unknown key 'epoch' in classifier"),
+        (("classifier", "schema_version"), SCHEMA_VERSION, "unknown key 'schema_version' in classifier"),
+        (("detector", "ood_sources", 1, "weight"), 1.0, "unknown key 'weight' in detector.ood_sources[1]"),
+        (("epochs",), 5, "unknown key 'epochs'"),
+        # value checks name the object they refuse
+        (("detector", "epochs"), -1, "detector: epochs must be >= 0"),
+        (("detector", "batch_size"), 0, "detector: batch_size must be >= 1"),
+        (("detector", "learning_rate"), 0.0, "detector: learning_rate must be positive"),
+        (("detector", "momentum"), 1.0, "detector: momentum must lie in [0, 1)"),
+        (("detector", "ood_sources", 0, "gamma"), -0.5, "detector.ood_sources[0]: gamma must be >= 0"),
+        (
+            ("classifier", "ood_sources", 0, "name"),
+            "near_ood",
+            "classifier.ood_sources[0]: unknown OOD source 'near_ood'",
+        ),
+        (("dataset", "classes"), 1, "dataset: classes must be >= 2"),
+        (("model", "activation"), "swish", "model: unknown activation 'swish'"),
+        (
+            ("screening", "drop_fraction_detector"),
+            1.0,
+            "screening: drop_fraction_detector must lie in (0, 1)",
+        ),
     ]
     file = tmp_path / "config.json"
     for path, value, message in cases:
@@ -87,11 +110,13 @@ def test_config_errors_name_the_key_path(tmp_path):
             del holder[path[-1]]
         else:
             holder[path[-1]] = value
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError) as refused:
             from_dict(blob)
+        assert str(refused.value) == message
         file.write_text(json.dumps(blob))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(file))}: {message}"):
+        with pytest.raises(ValueError) as refused:
             load_config(file)
+        assert str(refused.value) == f"{file}: {message}"
 
 
 def test_write_json_replaces_the_file_whole(tmp_path):
@@ -624,7 +649,8 @@ def test_screen_recalibrates_stale_thresholds_file(experiment, tmp_path, change)
         lambda blob: json.dumps({**blob, "drop_fraction_detector": math.nan}),
         "drop_fraction_detector must be a finite number",
     ),
-], ids=["bad-json", "not-an-object", "missing-key", "string-tau", "nan-tau", "nan-drop-fraction"])
+    (lambda blob: json.dumps({**blob, "tau": 0.1}), "unknown key 'tau'"),
+], ids=["bad-json", "not-an-object", "missing-key", "string-tau", "nan-tau", "nan-drop-fraction", "unknown-key"])
 def test_screen_refuses_malformed_thresholds_file(experiment, tmp_path, capsys, corrupt, message):
     ckpts = copy_run(experiment, tmp_path)
     screen = screen_argv(experiment["cfg"], ckpts, tmp_path)

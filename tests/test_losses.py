@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from dpnet.losses import ObjectiveConfig, OodTerm, loss_in, loss_out, objective_batch
+from dpnet.losses import ObjectiveConfig, OodTerm, _sigmoid, loss_in, loss_out, objective_batch
 from dpnet.network import backward, forward_batch, init_model
 
 
@@ -254,3 +255,32 @@ def test_ood_term_validation():
         OodTerm(0.5, math.nan)
     with pytest.raises(ValueError):
         ObjectiveConfig(math.inf, ())
+
+
+def masked_sigmoid(z):
+    """The earlier two-branch form: each branch's exp runs only on its own rows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 745.0, -745.0, 1e308, -1e308]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=40),
+        elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGES),
+    )
+)
+@example(np.array(EDGES))
+@example(np.array(EDGES)[::-1].reshape(3, 3))
+def test_sigmoid_matches_masked_form_bit_for_bit(z):
+    got = _sigmoid(z)
+    assert got.shape == z.shape
+    assert np.array_equal(got.view(np.int64), masked_sigmoid(z).view(np.int64))
