@@ -18,7 +18,6 @@ import numpy as np
 
 from . import config as cfgmod
 from . import data, network, pipeline, training
-from .losses import ObjectiveConfig, OodTerm
 
 
 def _fmt(x: float) -> str:
@@ -74,8 +73,8 @@ def cmd_gen(cfg: cfgmod.ExperimentConfig, out: Path) -> int:
 
 def _resolve_ood_sources(
     cfg: cfgmod.ExperimentConfig, role: cfgmod.RoleConfig, out: Path, train_set: data.ExampleSet
-):
-    """Map configured source names to example sets.
+) -> list[data.ExampleSet]:
+    """One example set per configured source, in order.
 
     far_ood comes from the generated file; shifted_train is a small
     exposure sample drawn from the shifted distribution with its own
@@ -83,19 +82,16 @@ def _resolve_ood_sources(
     """
     ds = cfg.dataset
     sets = []
-    terms = []
     for source in role.ood_sources:
         if source.name == "far_ood":
-            examples = _load_rows(
+            sets.append(_load_rows(
                 out / "far_ood.csv", train_set.dim, expect=f"{out / 'in_train.csv'} has"
-            )
+            ))
         else:
-            examples = data.gen_shifted(
+            sets.append(data.gen_shifted(
                 ds.shifted_train, ds.classes, ds.shifted_train_seed, ds.shift, ds.scale
-            )
-        sets.append(data.ExampleSet(examples.features))
-        terms.append(OodTerm(source.gamma, source.lambda_out))
-    return sets, tuple(terms)
+            ))
+    return sets
 
 
 def cmd_train(cfg: cfgmod.ExperimentConfig, role_name: str, out: Path) -> int:
@@ -105,19 +101,11 @@ def cmd_train(cfg: cfgmod.ExperimentConfig, role_name: str, out: Path) -> int:
     val_set = _load_rows(
         out / "in_val.csv", train_set.dim, classes, what="validation rows", expect=f"{in_train} has"
     )
-    ood_sets, ood_terms = _resolve_ood_sources(cfg, role, out, train_set)
+    ood_sets = _resolve_ood_sources(cfg, role, out, train_set)
 
     sizes = (train_set.dim, *cfg.model.hidden, classes)
     model = network.init_model(sizes, role.init_seed, cfg.model.activation)
-    train_cfg = training.TrainConfig(
-        objective=ObjectiveConfig(role.lambda_in, ood_terms),
-        epochs=role.epochs,
-        batch_size=role.batch_size,
-        learning_rate=role.learning_rate,
-        momentum=role.momentum,
-        seed=role.seed,
-    )
-    trained, report = training.train(model, train_set, ood_sets, train_cfg, val_set)
+    trained, report = training.train(model, train_set, ood_sets, role.train_config(), val_set)
 
     ckpt = out / f"{role_name}.ckpt"
     network.save_checkpoint(trained, ckpt)
@@ -318,7 +306,9 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
 def cmd_plot(ckpt: str, input_path: str, out: Path, resolution: int) -> int:
     model = network.load_checkpoint(ckpt)
     if model.num_classes != 3:
-        raise ValueError("density grids need a 3-class model")
+        raise ValueError(
+            f"{ckpt}: density grids need a 3-class model, found {model.num_classes} classes"
+        )
     examples = _load_rows(input_path, model.layer_sizes[0])
     out.mkdir(parents=True, exist_ok=True)
     from .dirichlet import density_grid, logits_to_alpha

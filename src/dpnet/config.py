@@ -16,6 +16,8 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import losses, network, training
+
 __all__ = [
     "SCHEMA_VERSION",
     "OodSourceConfig",
@@ -47,8 +49,7 @@ class OodSourceConfig:
     def __post_init__(self) -> None:
         if self.name not in KNOWN_SOURCES:
             raise ValueError(f"unknown OOD source {self.name!r}")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
+        losses.OodTerm(self.gamma, self.lambda_out)  # OodTerm checks gamma and lambda_out
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,11 @@ class DatasetConfig:
     def __post_init__(self) -> None:
         if self.classes < 2:
             raise ValueError("classes must be >= 2")
-        for name in ("train", "val", "test", "shifted_test", "shifted_train", "far_ood"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name in ("train", "val", "test", "shifted_test", "shifted_train"):
+            if getattr(self, name) < self.classes:
+                raise ValueError(f"{name} must be >= classes ({self.classes})")
+        if self.far_ood < 1:
+            raise ValueError("far_ood must be >= 1")
         if self.scale <= 0.0:
             raise ValueError("scale must be positive")
 
@@ -86,7 +89,7 @@ class ModelConfig:
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ValueError("hidden must be positive layer widths")
-        if self.activation not in ("relu", "tanh"):
+        if self.activation not in network._ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
@@ -103,14 +106,19 @@ class RoleConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ood_sources", tuple(self.ood_sources))
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
+        self.train_config()  # refuses what TrainConfig refuses
+
+    def train_config(self) -> training.TrainConfig:
+        """This role's settings as the TrainConfig that training.train takes."""
+        terms = tuple(losses.OodTerm(s.gamma, s.lambda_out) for s in self.ood_sources)
+        return training.TrainConfig(
+            objective=losses.ObjectiveConfig(self.lambda_in, terms),
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+            learning_rate=self.learning_rate,
+            momentum=self.momentum,
+            seed=self.seed,
+        )
 
 
 @dataclass(frozen=True)

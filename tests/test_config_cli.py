@@ -29,7 +29,9 @@ from dpnet.config import (
     write_json,
 )
 from dpnet.data import load_csv
+from dpnet.losses import ObjectiveConfig, OodTerm
 from dpnet.network import init_model, load_checkpoint, save_checkpoint
+from dpnet.training import TrainConfig
 
 
 def test_default_config_roundtrips(tmp_path):
@@ -88,13 +90,21 @@ def test_config_errors_name_the_key_path(tmp_path):
         (("detector", "batch_size"), 0, "detector: batch_size must be >= 1"),
         (("detector", "learning_rate"), 0.0, "detector: learning_rate must be positive"),
         (("detector", "momentum"), 1.0, "detector: momentum must lie in [0, 1)"),
-        (("detector", "ood_sources", 0, "gamma"), -0.5, "detector.ood_sources[0]: gamma must be >= 0"),
+        (
+            ("detector", "ood_sources", 0, "gamma"),
+            -0.5,
+            "detector.ood_sources[0]: gamma must be finite and >= 0",
+        ),
         (
             ("classifier", "ood_sources", 0, "name"),
             "near_ood",
             "classifier.ood_sources[0]: unknown OOD source 'near_ood'",
         ),
         (("dataset", "classes"), 1, "dataset: classes must be >= 2"),
+        # each labeled set needs one example per class; far_ood is unlabeled
+        (("dataset", "val"), 2, "dataset: val must be >= classes (3)"),
+        (("dataset", "shifted_train"), 1, "dataset: shifted_train must be >= classes (3)"),
+        (("dataset", "far_ood"), 0, "dataset: far_ood must be >= 1"),
         (("model", "activation"), "swish", "model: unknown activation 'swish'"),
         (
             ("screening", "drop_fraction_detector"),
@@ -169,6 +179,23 @@ def test_component_validation():
         EvalConfig(drop_fractions=())
     with pytest.raises(ValueError):
         EvalConfig(drop_fractions=(0.5, 1.0))
+
+
+def test_role_train_config_is_the_one_train_builds():
+    """train_config() carries every training field of the role, with seed (not init_seed) as its seed."""
+    cfg = default_config()
+    for role in (cfg.classifier, cfg.detector):
+        terms = tuple(OodTerm(s.gamma, s.lambda_out) for s in role.ood_sources)
+        assert role.train_config() == TrainConfig(
+            objective=ObjectiveConfig(role.lambda_in, terms),
+            epochs=role.epochs,
+            batch_size=role.batch_size,
+            learning_rate=role.learning_rate,
+            momentum=role.momentum,
+            seed=role.seed,
+        )
+    assert cfg.classifier.train_config().seed == 11
+    assert cfg.detector.train_config().objective.ood_terms == (OodTerm(0.5, -1.0), OodTerm(0.5, -0.2))
 
 
 def test_missing_role_is_an_error():
@@ -343,14 +370,6 @@ def test_plot_writes_density_grid(experiment, tmp_path):
     assert (rows[:, 3] >= 0.0).all()
 
 
-def test_cli_reports_missing_dataset(tmp_path, capsys):
-    cfg_path = tmp_path / "config.json"
-    save_config(small_config(str(tmp_path)), cfg_path)
-    rc = cli.main(["train", "--config", str(cfg_path), "--role", "classifier"])
-    assert rc == 1
-    assert "missing dataset file" in capsys.readouterr().err
-
-
 def test_cli_requires_two_checkpoints(experiment, capsys):
     rc = cli.main([
         "screen",
@@ -375,40 +394,6 @@ def test_cli_rejects_mismatched_checkpoints(experiment, tmp_path, capsys):
     assert "disagree" in capsys.readouterr().err
 
 
-def test_cli_rejects_empty_screen_input(experiment, tmp_path, capsys):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("features:2,label:0\n")
-    rc = cli.main([
-        "screen",
-        "--config", experiment["cfg"],
-        "--checkpoint", str(experiment["out"] / "classifier.ckpt"),
-        "--checkpoint", str(experiment["out"] / "detector.ckpt"),
-        "--input", str(empty),
-    ])
-    assert rc == 1
-    assert "no rows" in capsys.readouterr().err
-
-
-def test_cli_rejects_input_with_other_feature_count(experiment, tmp_path, capsys):
-    ckpts = [
-        "--checkpoint", str(experiment["out"] / "classifier.ckpt"),
-        "--checkpoint", str(experiment["out"] / "detector.ckpt"),
-    ]
-    wide = tmp_path / "wide.csv"
-    wide.write_text("features:3,label:0\n0.0,1.0,2.0\n")
-    rc = cli.main(["screen", "--config", experiment["cfg"], *ckpts, "--input", str(wide)])
-    assert rc == 1
-    assert capsys.readouterr().err == f"error: {wide}: 3 features, checkpoints expect 2\n"
-
-    for name in ("in_val.csv", "in_test.csv", "shifted_test.csv", "far_ood.csv"):
-        (tmp_path / name).write_bytes((experiment["out"] / name).read_bytes())
-    (tmp_path / "far_ood.csv").write_text("features:1,label:0\n0.5\n")
-    rc = cli.main(["eval", "--config", experiment["cfg"], *ckpts, "--out", str(tmp_path)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err == f"error: {tmp_path / 'far_ood.csv'}: 1 features, checkpoints expect 2\n"
-
-
 def test_cli_rejects_non_three_class_plot(tmp_path, capsys):
     ckpt = tmp_path / "two.ckpt"
     save_checkpoint(init_model((2, 8, 2), seed=2), ckpt)
@@ -416,7 +401,9 @@ def test_cli_rejects_non_three_class_plot(tmp_path, capsys):
     points.write_text("features:2,label:0\n0.0,0.0\n")
     rc = cli.main(["plot", "--checkpoint", str(ckpt), "--input", str(points), "--out", str(tmp_path)])
     assert rc == 1
-    assert "3-class" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: density grids need a 3-class model, found 2 classes\n"
+    )
 
 
 def test_cli_reports_broken_config(tmp_path, capsys):
@@ -462,27 +449,6 @@ def screen_argv(cfg: str, ckpts: list[str], out) -> list[str]:
     return ["screen", "--config", cfg, *ckpts, "--input", str(out / "shifted_test.csv"), "--out", str(out)]
 
 
-def test_cli_rejects_empty_validation_set(experiment, tmp_path, capsys):
-    """Header-only in_val.csv fails screen and eval; a header-only test set fails eval.
-
-    Each error names the file, and nothing is written.
-    """
-    ckpts = copy_run(experiment, tmp_path)
-    eval_argv = ["eval", "--config", experiment["cfg"], *ckpts, "--out", str(tmp_path)]
-    (tmp_path / "in_val.csv").write_text("features:2,label:1\n")
-    expected = f"error: {tmp_path / 'in_val.csv'}: no validation rows\n"
-    for argv in (screen_argv(experiment["cfg"], ckpts, tmp_path), eval_argv):
-        assert cli.main(argv) == 1
-        assert capsys.readouterr().err == expected
-    for name in ("in_test.csv", "shifted_test.csv", "far_ood.csv"):
-        copy_run(experiment, tmp_path)
-        header = (tmp_path / name).read_text().split("\n", 1)[0]
-        (tmp_path / name).write_text(header + "\n")
-        assert cli.main(eval_argv) == 1
-        assert capsys.readouterr().err == f"error: {tmp_path / name}: no rows\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(RUN_FILES)
-
-
 # every (command, input file) pair a command reads, with the defects that apply to it;
 # input.csv is the --input of screen and plot, and labels matter where train or eval uses them
 INPUT_DEFECTS = [
@@ -492,7 +458,7 @@ INPUT_DEFECTS = [
     ("eval", "in_val.csv", ("missing", "header-only", "wide")),
     ("eval", "in_test.csv", ("missing", "header-only", "wide")),
     ("eval", "shifted_test.csv", ("missing", "header-only", "wide", "unlabeled", "label-range")),
-    ("eval", "far_ood.csv", ("missing", "header-only", "wide")),
+    ("eval", "far_ood.csv", ("missing", "header-only", "wide", "narrow")),
     ("screen", "input.csv", ("missing", "header-only", "wide")),
     ("screen", "in_val.csv", ("missing", "header-only", "wide")),
     ("plot", "input.csv", ("missing", "header-only", "wide")),
@@ -516,6 +482,7 @@ def test_cli_refuses_bad_input_before_writing(experiment, tmp_path, capsys, comm
         path.write_text({
             "header-only": header + "\n",
             "wide": f"features:3,{header.split(',')[1]}\n0.0,1.0,2.0{label}\n",
+            "narrow": f"features:1,{header.split(',')[1]}\n0.5{label}\n",
             "unlabeled": "features:2,label:0\n0.0,1.0\n",
             "label-range": "features:2,label:1\n0.0,1.0,0\n0.5,0.5,3\n",
         }[defect])
@@ -524,6 +491,7 @@ def test_cli_refuses_bad_input_before_writing(experiment, tmp_path, capsys, comm
         "missing": f"missing dataset file {path}",
         "header-only": f"{path}: no {'validation ' if name == 'in_val.csv' else ''}rows",
         "wide": f"{path}: 3 features, {expect} 2",
+        "narrow": f"{path}: 1 features, {expect} 2",
         "unlabeled": f"{path}: no labels",
         "label-range": f"{path}:3: label 3 >= 3 classes",
     }[defect]
