@@ -310,11 +310,11 @@ def cmd_plot(ckpt: str, input_path: str, out: Path, resolution: int) -> int:
             f"{ckpt}: density grids need a 3-class model, found {model.num_classes} classes"
         )
     examples = _load_rows(input_path, model.layer_sizes[0])
-    out.mkdir(parents=True, exist_ok=True)
     from .dirichlet import density_grid, logits_to_alpha
 
     params = logits_to_alpha(network.forward(model, examples.features[0]))
     points, densities = density_grid(params, resolution)
+    out.mkdir(parents=True, exist_ok=True)
     lines = [
         f"{_fmt(mu[0])},{_fmt(mu[1])},{_fmt(mu[2])},{_fmt(d)}"
         for mu, d in zip(points, densities)

@@ -76,6 +76,9 @@ class DatasetConfig:
                 raise ValueError(f"{name} must be >= classes ({self.classes})")
         if self.far_ood < 1:
             raise ValueError("far_ood must be >= 1")
+        for name in ("seed", "shifted_seed", "shifted_train_seed", "far_ood_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.scale <= 0.0:
             raise ValueError("scale must be positive")
 
@@ -107,6 +110,8 @@ class RoleConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "ood_sources", tuple(self.ood_sources))
         self.train_config()  # refuses what TrainConfig refuses
+        if self.init_seed < 0:
+            raise ValueError("init_seed must be >= 0")
 
     def train_config(self) -> training.TrainConfig:
         """This role's settings as the TrainConfig that training.train takes."""

@@ -68,7 +68,7 @@ class RescoreRow:
 
 
 def _block_scores(Z: np.ndarray, kind: ScoreKind) -> tuple[np.ndarray, np.ndarray]:
-    """(score, referable posterior) rows from one block of logits."""
+    """(score, referable posterior) rows from an (n, K) array of logits."""
     alpha = np.exp(np.clip(Z, -DEFAULT_LOGIT_CLAMP, DEFAULT_LOGIT_CLAMP))
     a0 = alpha.sum(axis=1)
     referable = alpha[:, REFERABLE_CLASS] / a0
@@ -81,30 +81,39 @@ def _block_scores(Z: np.ndarray, kind: ScoreKind) -> tuple[np.ndarray, np.ndarra
 
 
 _SCORE_BLOCK = 256  # fixed so a row's score never depends on the input size
+# Rows per call of the row-wise Dirichlet math. A whole number of blocks,
+# so block edges stay at multiples of _SCORE_BLOCK from row 0 and every
+# logit is the one a lone 256-row forward pass gives; larger chunks
+# fall out of cache.
+_SCORE_CHUNK = 32 * _SCORE_BLOCK
 
 
 def _score_rows(model: FeedForwardModel, features: np.ndarray, kind: ScoreKind):
     """(score, predicted class, referable posterior) of every row, in row order.
 
-    Rows go through the model in fixed 256-row blocks, one forward pass
-    each, so the floating-point reduction shapes, and with them the
-    results, are the same whatever the number of rows.
+    Logits come from one forward pass per fixed 256-row block; the
+    Dirichlet math then runs once per 8192-row chunk of them. Every
+    floating-point reduction has a fixed shape per row, so the results
+    are the same whatever the number of rows.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise ValueError("features must be a 2-D array")
     n = X.shape[0]
     score, predicted, referable = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n)
-    for i in range(0, n, _SCORE_BLOCK):
-        rows = slice(i, i + _SCORE_BLOCK)
-        Z = forward_batch(model, X[rows])
-        score[rows], referable[rows] = _block_scores(Z, kind)
-        predicted[rows] = Z.argmax(axis=1)
+    Z = np.empty((min(n, _SCORE_CHUNK), model.num_classes))
+    for i in range(0, n, _SCORE_CHUNK):
+        rows = slice(i, min(i + _SCORE_CHUNK, n))
+        Zc = Z[: rows.stop - i]
+        for j in range(0, Zc.shape[0], _SCORE_BLOCK):
+            Zc[j : j + _SCORE_BLOCK] = forward_batch(model, X[i + j : i + j + _SCORE_BLOCK])
+        score[rows], referable[rows] = _block_scores(Zc, kind)
+        predicted[rows] = Zc.argmax(axis=1)
     return score, predicted, referable
 
 
 def score_set(model: FeedForwardModel, features: np.ndarray, kind: ScoreKind) -> np.ndarray:
-    """Scores for every row of a feature matrix, in row order (256-row blocks)."""
+    """Scores for every row of a feature matrix, in row order (see ``_score_rows``)."""
     return _score_rows(model, features, kind)[0]
 
 

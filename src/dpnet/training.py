@@ -39,6 +39,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

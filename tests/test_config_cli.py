@@ -105,6 +105,13 @@ def test_config_errors_name_the_key_path(tmp_path):
         (("dataset", "val"), 2, "dataset: val must be >= classes (3)"),
         (("dataset", "shifted_train"), 1, "dataset: shifted_train must be >= classes (3)"),
         (("dataset", "far_ood"), 0, "dataset: far_ood must be >= 1"),
+        # numpy's generators refuse negative seeds only once gen or train runs
+        (("dataset", "seed"), -1, "dataset: seed must be >= 0"),
+        (("dataset", "shifted_seed"), -1, "dataset: shifted_seed must be >= 0"),
+        (("dataset", "shifted_train_seed"), -1, "dataset: shifted_train_seed must be >= 0"),
+        (("dataset", "far_ood_seed"), -1, "dataset: far_ood_seed must be >= 0"),
+        (("classifier", "seed"), -1, "classifier: seed must be >= 0"),
+        (("detector", "init_seed"), -1, "detector: init_seed must be >= 0"),
         (("model", "activation"), "swish", "model: unknown activation 'swish'"),
         (
             ("screening", "drop_fraction_detector"),
@@ -516,6 +523,7 @@ def test_refused_command_creates_no_out_dir(experiment, tmp_path):
         ["eval", "--config", experiment["cfg"], *ckpts],
         ["screen", "--config", experiment["cfg"], *ckpts, "--input", str(out / "in_test.csv")],
         ["plot", *ckpts[:2], "--input", str(tmp_path / "none.csv")],
+        ["plot", *ckpts[:2], "--input", str(out / "in_test.csv"), "--resolution", "1"],
     ):
         assert cli.main([*argv, "--out", str(absent)]) == 1
         assert not absent.exists(), argv[0]

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpnet.data import ExampleSet, gen_far_ood, gen_in_domain
-from dpnet.dirichlet import logits_to_alpha, mutual_information
+from dpnet.dirichlet import _mutual_information_rows, logits_to_alpha, mutual_information
 from dpnet.losses import ObjectiveConfig, OodTerm
 from dpnet.network import FeedForwardModel, forward, forward_batch, init_model
 from dpnet.pipeline import (
@@ -84,6 +84,48 @@ def test_score_set_matches_single_input_scores(hidden, classes, rows, activation
     p /= p.sum(axis=1, keepdims=True)
     entropy = -(p * np.log(p)).sum(axis=1)
     np.testing.assert_allclose(score_set(model, X, ScoreKind.ENTROPY), entropy, rtol=0.0, atol=1e-12)
+
+
+def reference_score_rows(model, X, kind):
+    """_score_rows in its earlier form: the forward pass and the Dirichlet
+    math together, once per 256-row block. Returns (score, predicted,
+    referable)."""
+    n = X.shape[0]
+    score, predicted, referable = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n)
+    for i in range(0, n, 256):
+        rows = slice(i, i + 256)
+        Z = forward_batch(model, X[rows])
+        alpha = np.exp(np.clip(Z, -30.0, 30.0))
+        a0 = alpha.sum(axis=1)
+        referable[rows] = alpha[:, 0] / a0
+        if kind is ScoreKind.MUTUAL_INFORMATION:
+            score[rows] = _mutual_information_rows(alpha)
+        else:
+            p = alpha / a0[:, None]
+            score[rows] = -(p * np.log(p)).sum(axis=1)
+        predicted[rows] = Z.argmax(axis=1)
+    return score, predicted, referable
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("classes", [2, 3, 5])
+def test_chunked_scoring_matches_per_block_reference(activation, classes):
+    # row counts cross the 256-row block edges and the 8192-row chunk edges
+    classifier = init_model((2, 16, 16, classes), seed=60 + classes, activation=activation)
+    detector = init_model((2, 16, classes), seed=70 + classes, activation=activation)
+    rng = np.random.default_rng(classes)
+    for rows in (0, 1, 255, 256, 257, 8191, 8192, 8193, 20011):
+        # a wide input range drives some logits past the +-30 clamp
+        X = rng.uniform(-4.0, 4.0, (rows, 2)) * rng.choice([1.0, 40.0], (rows, 1))
+        want = {kind: reference_score_rows(detector, X, kind)[0] for kind in ScoreKind}
+        for kind in ScoreKind:
+            assert np.array_equal(score_set(detector, X, kind), want[kind]), (rows, kind)
+        got = screen_scores(classifier, detector, X)
+        s_c, predicted, referable = reference_score_rows(classifier, X, ScoreKind.MUTUAL_INFORMATION)
+        assert np.array_equal(got.s_d, want[ScoreKind.MUTUAL_INFORMATION]), rows
+        assert np.array_equal(got.s_c, s_c), rows
+        assert np.array_equal(got.predicted, predicted), rows
+        assert np.array_equal(got.referable, referable), rows
 
 
 def test_score_set_shapes():
