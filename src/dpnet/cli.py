@@ -110,10 +110,7 @@ def cmd_train(cfg: cfgmod.ExperimentConfig, role_name: str, out: Path) -> int:
     ckpt = out / f"{role_name}.ckpt"
     network.save_checkpoint(trained, ckpt)
     cfgmod.write_json(out / f"{role_name}_report.json", dataclasses.asdict(report))
-    print(
-        f"wrote {ckpt} (selected epoch {report.selected_epoch}, "
-        f"val accuracy {report.final_val_accuracy})"
-    )
+    print(f"wrote {ckpt} (val accuracy {report.final_val_accuracy})")
     return 0
 
 

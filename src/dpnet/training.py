@@ -3,8 +3,8 @@
 Every step draws one in-domain batch and one batch from each
 out-of-distribution source; the sources are cycled independently with
 their own seeded shuffles, so a small exposure set simply repeats.
-When a validation set is supplied, the parameters from the epoch with
-the best in-domain accuracy are returned.
+The parameters after the last epoch are returned; a validation set only
+adds a per-epoch in-domain accuracy trace to the report.
 """
 
 from __future__ import annotations
@@ -45,13 +45,13 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Per-epoch loss traces plus the selected checkpoint's validation score."""
+    """Per-epoch loss and validation-accuracy traces, plus the returned
+    model's validation accuracy (None without a validation set)."""
 
     loss_total: list[float] = field(default_factory=list)
     loss_in: list[float] = field(default_factory=list)
     loss_ood: list[list[float]] = field(default_factory=list)  # one trace per source
     val_accuracy: list[float] = field(default_factory=list)
-    selected_epoch: int = -1
     final_val_accuracy: float | None = None
 
 
@@ -109,8 +109,9 @@ def train(
     """Run the multi-task objective for cfg.epochs and return (model, report).
 
     The input model is never mutated. With zero epochs the returned
-    parameters equal the input's; a non-finite loss aborts with the
-    offending step in the message.
+    parameters equal the input's; a non-finite loss, or non-finite
+    parameters at the end of an epoch, abort with the offending step in
+    the message.
     """
     _check_labeled_set(model, train_set, "training")
     if val_set is not None:
@@ -136,13 +137,11 @@ def train(
     ]
 
     report = TrainReport(loss_ood=[[] for _ in ood_sets])
-    best_params: FeedForwardModel | None = None
-    best_acc = -math.inf
     n = len(train_set)
     steps_per_epoch = -(-n // cfg.batch_size)
     global_step = 0
 
-    for epoch in range(cfg.epochs):
+    for _ in range(cfg.epochs):
         order = in_rng.permutation(n)
         # one gather per epoch; each step then takes a contiguous slice
         features, labels = train_set.features[order], train_set.labels[order]
@@ -164,25 +163,18 @@ def train(
             sums += [result.total, result.in_loss, *result.ood_losses]
             global_step += 1
 
+        # the loss check sees an update only at the next step, and the
+        # validation pass must not run on non-finite parameters
+        if not np.isfinite(work.params).all():
+            raise RuntimeError(f"non-finite parameters after step {global_step - 1}")
         means = sums / steps_per_epoch
         report.loss_total.append(float(means[0]))
         report.loss_in.append(float(means[1]))
         for j in range(len(ood_sets)):
             report.loss_ood[j].append(float(means[2 + j]))
         if val_set is not None:
-            acc = evaluate_accuracy(work, val_set)
-            report.val_accuracy.append(acc)
-            if acc > best_acc:
-                best_acc = acc
-                best_params = work.copy()
-                report.selected_epoch = epoch
+            report.val_accuracy.append(evaluate_accuracy(work, val_set))
 
-    if val_set is not None and best_params is not None:
-        final = best_params
-        report.final_val_accuracy = best_acc
-    else:
-        final = work
-        report.selected_epoch = cfg.epochs - 1 if cfg.epochs else -1
-        if val_set is not None:
-            report.final_val_accuracy = evaluate_accuracy(final, val_set)
-    return final, report
+    if val_set is not None:
+        report.final_val_accuracy = evaluate_accuracy(work, val_set)
+    return work, report

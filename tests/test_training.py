@@ -39,7 +39,7 @@ def test_zero_epochs_returns_input_parameters():
         assert np.array_equal(got, want)
     for got, want in zip(trained.biases, model.biases):
         assert np.array_equal(got, want)
-    assert report.loss_total == [] and report.selected_epoch == -1
+    assert report.loss_total == [] and report.final_val_accuracy is None
 
 
 def test_input_model_never_mutated():
@@ -126,16 +126,19 @@ def test_small_ood_set_cycles_past_batch_size():
     assert all(np.isfinite(report.loss_ood[0]))
 
 
-def test_validation_selects_best_epoch():
+def test_validation_set_only_adds_a_trace():
     data = gen_in_domain(200, 3, seed=17)
     val = gen_in_domain(100, 3, seed=18)
-    cfg = TrainConfig(PLAIN, epochs=8, batch_size=32, learning_rate=0.08, seed=19)
-    model, report = train(init_model((2, 16, 3), seed=20), data, [], cfg, val_set=val)
+    ood = gen_far_ood(80, seed=11)
+    cfg = TrainConfig(small_objective(), epochs=8, batch_size=32, learning_rate=0.08, seed=19)
+    plain, plain_report = train(init_model((2, 16, 3), seed=20), data, [ood], cfg)
+    model, report = train(init_model((2, 16, 3), seed=20), data, [ood], cfg, val_set=val)
+    assert same_bits(model.params, plain.params)
+    for trace in ("loss_total", "loss_in", "loss_ood"):
+        assert getattr(report, trace) == getattr(plain_report, trace), trace
+    assert plain_report.val_accuracy == [] and plain_report.final_val_accuracy is None
     assert len(report.val_accuracy) == 8
-    best = max(report.val_accuracy)
-    assert report.selected_epoch == report.val_accuracy.index(best)
-    assert report.final_val_accuracy == best
-    assert evaluate_accuracy(model, val) == best
+    assert report.final_val_accuracy == report.val_accuracy[-1] == evaluate_accuracy(model, val)
 
 
 def test_zero_epochs_with_validation_reports_initial_accuracy():
@@ -145,7 +148,7 @@ def test_zero_epochs_with_validation_reports_initial_accuracy():
     cfg = TrainConfig(PLAIN, epochs=0, batch_size=8, learning_rate=0.1)
     trained, report = train(model, data, [], cfg, val_set=val)
     assert report.final_val_accuracy == evaluate_accuracy(trained, val)
-    assert report.selected_epoch == -1
+    assert report.val_accuracy == []
 
 
 def test_divergence_reports_step_number():
@@ -154,6 +157,17 @@ def test_divergence_reports_step_number():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match=r"non-finite training loss at step \d+"):
             train(init_model((2, 8, 3), seed=26), data, [], cfg)
+
+
+@pytest.mark.parametrize("with_val", [False, True])
+def test_non_finite_last_update_fails(with_val):
+    # one step, so no later loss can catch the overflowing update
+    data = gen_in_domain(30, 3, seed=24)
+    val = gen_in_domain(30, 3, seed=38) if with_val else None
+    cfg = TrainConfig(PLAIN, epochs=1, batch_size=len(data), learning_rate=1e308, seed=25)
+    with np.errstate(over="ignore"):
+        with pytest.raises(RuntimeError, match=r"^non-finite parameters after step 0$"):
+            train(init_model((2, 8, 3), seed=26), data, [], cfg, val_set=val)
 
 
 def test_train_input_validation():
@@ -205,11 +219,10 @@ def test_report_to_dict_roundtrips_through_json():
         loss_in=[0.9, 0.4],
         loss_ood=[[0.1, 0.1]],
         val_accuracy=[0.5, 0.75],
-        selected_epoch=1,
         final_val_accuracy=0.75,
     )
     blob = json.dumps(dataclasses.asdict(report))
-    assert json.loads(blob)["selected_epoch"] == 1
+    assert json.loads(blob) == dataclasses.asdict(report)
 
 
 def reference_objective(model, X, y, batches, cfg):
