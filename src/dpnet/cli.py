@@ -369,12 +369,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gen":
             return cmd_gen(cfg, out)
         if args.command == "train":
+            if getattr(cfg, args.role) is None:  # checked here, where the config's path is known
+                raise ValueError(f"{args.config}: no settings for role {args.role!r}")
             return cmd_train(cfg, args.role, out)
         if args.command == "screen":
             return cmd_screen(cfg, args.checkpoint, args.input, out)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.checkpoint, out)
-        raise ValueError(f"unknown command {args.command!r}")
+        return cmd_eval(cfg, args.checkpoint, out)  # the parser admits no other command
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

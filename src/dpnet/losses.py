@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dirichlet import _as_vector
 from .network import FeedForwardModel, GradientSet, _backward_cached, _forward_cached
 
 __all__ = [
@@ -46,15 +47,6 @@ def _log_softmax(Z: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def _check_logits(z) -> np.ndarray:
-    arr = np.asarray(z, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("z must be a 1-D logit vector with K >= 2")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("z must be finite")
-    return arr
-
-
 def _loss_rows(Z: np.ndarray, target: np.ndarray, c: np.ndarray):
     """Per-row loss and dL/dZ for (n, K) logits.
 
@@ -73,7 +65,7 @@ def _loss_rows(Z: np.ndarray, target: np.ndarray, c: np.ndarray):
 
 def loss_in(z, label: int, lambda_in: float):
     """In-domain loss and its logit gradient for one example."""
-    arr = _check_logits(z)
+    arr = _as_vector(z, "z")
     y = int(label)
     if not 0 <= y < arr.size:
         raise ValueError(f"label {y} outside [0, {arr.size})")
@@ -84,7 +76,7 @@ def loss_in(z, label: int, lambda_in: float):
 
 def loss_out(z, lambda_out: float):
     """Out-of-distribution loss and its logit gradient for one example."""
-    arr = _check_logits(z)
+    arr = _as_vector(z, "z")
     target = np.full((1, arr.size), 1.0 / arr.size)
     c = np.array([float(lambda_out)]) / arr.size
     losses, dZ = _loss_rows(arr[None, :], target, c)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dirichlet import DEFAULT_LOGIT_CLAMP, _mutual_information_rows
+from .dirichlet import _alpha_rows, _mutual_information_rows
 from .network import FeedForwardModel, forward_batch
 
 __all__ = [
@@ -69,7 +69,7 @@ class RescoreRow:
 
 def _block_scores(Z: np.ndarray, kind: ScoreKind) -> tuple[np.ndarray, np.ndarray]:
     """(score, referable posterior) rows from an (n, K) array of logits."""
-    alpha = np.exp(np.clip(Z, -DEFAULT_LOGIT_CLAMP, DEFAULT_LOGIT_CLAMP))
+    alpha = _alpha_rows(Z)
     a0 = alpha.sum(axis=1)
     referable = alpha[:, REFERABLE_CLASS] / a0
     if kind is ScoreKind.MUTUAL_INFORMATION:

@@ -110,8 +110,8 @@ def train(
 
     The input model is never mutated. With zero epochs the returned
     parameters equal the input's; a non-finite loss, or non-finite
-    parameters at the end of an epoch, abort with the offending step in
-    the message.
+    parameters or logits at the end of an epoch, abort with the
+    offending step in the message.
     """
     _check_labeled_set(model, train_set, "training")
     if val_set is not None:
@@ -164,9 +164,13 @@ def train(
             global_step += 1
 
         # the loss check sees an update only at the next step, and the
-        # validation pass must not run on non-finite parameters
+        # validation pass must not run on parameters that overflow: check
+        # them, and their logits on the epoch's last in-domain batch
         if not np.isfinite(work.params).all():
             raise RuntimeError(f"non-finite parameters after step {global_step - 1}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(forward_batch(work, features[rows])).all():
+                raise RuntimeError(f"non-finite logits after step {global_step - 1}")
         means = sums / steps_per_epoch
         report.loss_total.append(float(means[0]))
         report.loss_in.append(float(means[1]))

@@ -530,6 +530,33 @@ def test_train_refuses_non_finite_last_update(experiment, tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def test_train_refuses_parameters_whose_logits_overflow(experiment, tmp_path, capsys):
+    """Finite parameters whose forward pass overflows: exit 1, no checkpoint or report,
+    and no numpy warning (the suite makes those errors)."""
+    for name in ("in_train.csv", "in_val.csv", "far_ood.csv"):
+        (tmp_path / name).write_bytes((experiment["out"] / name).read_bytes())
+    cfg = small_config(str(tmp_path))
+    role = dataclasses.replace(cfg.classifier, epochs=1, batch_size=300, learning_rate=1e308)
+    save_config(dataclasses.replace(cfg, classifier=role), tmp_path / "config.json")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    rc = cli.main(["train", "--config", str(tmp_path / "config.json"), "--role", "classifier"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: non-finite logits after step 0\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_train_refuses_config_without_the_role(experiment, tmp_path, capsys):
+    copy_run(experiment, tmp_path)
+    cfg = tmp_path / "config.json"
+    save_config(dataclasses.replace(small_config(str(tmp_path)), detector=None), cfg)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg), "--role", "detector"]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: no settings for role 'detector'\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_refused_command_creates_no_out_dir(experiment, tmp_path):
     out, absent = experiment["out"], tmp_path / "absent"
     ckpts = ["--checkpoint", str(out / "classifier.ckpt"), "--checkpoint", str(out / "detector.ckpt")]
@@ -588,6 +615,23 @@ def test_screen_obeys_matching_thresholds_file(experiment, tmp_path):
     assert rc == 0
     assert "trusted=0\nhuman_review=0\ndiscard=120\n" in stdout
     assert (tmp_path / "thresholds.json").read_bytes() == planted
+
+
+def test_eval_ignores_matching_thresholds_file(experiment, tmp_path):
+    """eval always calibrates: a matching planted file changes no score line and is rewritten."""
+    ckpts = copy_run(experiment, tmp_path)
+    cfg = experiment["cfg"]
+    thresholds = tmp_path / "thresholds.json"
+    assert run_cli(screen_argv(cfg, ckpts, tmp_path))[0] == 0
+    cold = thresholds.read_bytes()
+    evaluate = ["eval", "--config", cfg, *ckpts, "--out", str(tmp_path)]
+    assert run_cli(evaluate)[0] == 0
+    scores = (tmp_path / "scores.csv").read_bytes()
+
+    plant_thresholds(thresholds)
+    assert run_cli(evaluate)[0] == 0
+    assert (tmp_path / "scores.csv").read_bytes() == scores
+    assert thresholds.read_bytes() == cold
 
 
 def perturb_checkpoint(path) -> None:
