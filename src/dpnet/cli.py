@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -114,7 +115,10 @@ def cmd_train(cfg: cfgmod.ExperimentConfig, role_name: str, out: Path) -> int:
     return 0
 
 
-def _load_model_pair(paths: list[str]) -> tuple[network.FeedForwardModel, network.FeedForwardModel]:
+_ModelPair = tuple[network.FeedForwardModel, network.FeedForwardModel]  # classifier, detector
+
+
+def _load_model_pair(paths: list[str]) -> _ModelPair:
     if len(paths) != 2:
         raise ValueError("expected two --checkpoint flags: classifier first, detector second")
     classifier = network.load_checkpoint(paths[0])
@@ -183,12 +187,17 @@ def _write_thresholds(
     cfgmod.write_json(path, dataclasses.asdict(stored))
 
 
+def _screen_scores(models: _ModelPair, ckpts: list[str], path, features) -> pipeline.ScreenScores:
+    """pipeline.screen_scores; logits that overflow are refused with the checkpoint's and the file's path."""
+    try:
+        return pipeline.screen_scores(*models, features)
+    except pipeline.NonFiniteLogits as exc:
+        ckpt = ckpts[0] if exc.model is models[0] else ckpts[1]
+        raise ValueError(f"{ckpt}: non-finite logits on {path}") from None
+
+
 def _screening_thresholds(
-    cfg: cfgmod.ExperimentConfig,
-    ckpts: list[str],
-    classifier: network.FeedForwardModel,
-    detector: network.FeedForwardModel,
-    out: Path,
+    cfg: cfgmod.ExperimentConfig, ckpts: list[str], models: _ModelPair, out: Path
 ) -> pipeline.ScreeningThresholds:
     """Stored thresholds while thresholds.json matches; else calibrate and rewrite it."""
     val_path = out / "in_val.csv"
@@ -197,9 +206,9 @@ def _screening_thresholds(
     stored = cfgmod.read_json(path, _StoredThresholds) if path.exists() else None
     if stored is not None and all(getattr(stored, key) == value for key, value in inputs.items()):
         return pipeline.ScreeningThresholds(tau_d=stored.tau_d, tau_c=stored.tau_c)
-    val_set = _load_rows(val_path, classifier.layer_sizes[0], what="validation rows")
+    val_set = _load_rows(val_path, models[0].layer_sizes[0], what="validation rows")
     thresholds = _calibrated_thresholds(
-        cfg, pipeline.screen_scores(classifier, detector, val_set.features)
+        cfg, _screen_scores(models, ckpts, val_path, val_set.features)
     )
     _write_thresholds(path, inputs, len(val_set), thresholds)
     return thresholds
@@ -208,21 +217,30 @@ def _screening_thresholds(
 _OUTCOME_NAMES = [o.value for o in pipeline.Outcome]
 
 
-def _decision_rows(
-    thresholds: pipeline.ScreeningThresholds, scores: pipeline.ScreenScores, id_prefix: str
-) -> tuple[list[str], list[int]]:
-    """decisions.csv lines with ids ``<id_prefix><row>``, and the count per outcome."""
-    outcome, predicted = pipeline.route_decision(
-        scores.s_d, scores.s_c, thresholds, scores.predicted
-    )
-    # tolist() gives Python floats, whose repr is _fmt's output
-    lines = [
-        f"{id_prefix}{i},{d!r},{c!r},{_OUTCOME_NAMES[o]},{'' if k < 0 else k}"
-        for i, (d, c, o, k) in enumerate(
-            zip(scores.s_d.tolist(), scores.s_c.tolist(), outcome.tolist(), predicted.tolist())
-        )
-    ]
-    return lines, np.bincount(outcome, minlength=len(_OUTCOME_NAMES)).tolist()
+def _write_decisions(
+    path: Path, thresholds: pipeline.ScreeningThresholds, parts: list[tuple[str, pipeline.ScreenScores]]
+) -> list[int]:
+    """Route each (id prefix, scores) part, then write its decisions.csv lines; return the count per outcome.
+
+    Row i of a part gets the id ``<prefix><i>``. Each part is routed with
+    one route_decision call before the file is opened; lines are then
+    formatted and written data.CHUNK_ROWS at a time.
+    """
+    routed = [pipeline.route_decision(s.s_d, s.s_c, thresholds, s.predicted) for _, s in parts]
+    counts = np.zeros(len(_OUTCOME_NAMES), dtype=np.int64)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("id,s_d,s_c,outcome,predicted_class\n")
+        for (prefix, scores), (outcome, predicted) in zip(parts, routed):
+            for i in range(0, len(outcome), data.CHUNK_ROWS):
+                rows = slice(i, i + data.CHUNK_ROWS)
+                columns = (scores.s_d[rows], scores.s_c[rows], outcome[rows], predicted[rows])
+                # tolist() gives Python floats, whose repr is _fmt's output
+                fh.write("".join([
+                    f"{prefix}{j},{d!r},{c!r},{_OUTCOME_NAMES[o]},{'' if k < 0 else k}\n"
+                    for j, d, c, o, k in zip(itertools.count(i), *(col.tolist() for col in columns))
+                ]))
+            counts += np.bincount(outcome, minlength=len(_OUTCOME_NAMES))
+    return counts.tolist()
 
 
 def cmd_screen(cfg: cfgmod.ExperimentConfig, ckpts: list[str], input_path: str, out: Path) -> int:
@@ -232,14 +250,14 @@ def cmd_screen(cfg: cfgmod.ExperimentConfig, ckpts: list[str], input_path: str, 
     both drop fractions and the SHA-256 digests of both checkpoints and
     ``in_val.csv`` match; then ``in_val.csv`` is hashed but not parsed.
     Otherwise both thresholds are calibrated on ``in_val.csv`` and the file
-    is rewritten. A malformed file is refused, naming it, before any file is written.
+    is rewritten. A malformed file, or logits that overflow, are refused,
+    naming the file, before any file is written.
     """
-    classifier, detector = _load_model_pair(ckpts)
-    examples = _load_rows(input_path, classifier.layer_sizes[0])
-    thresholds = _screening_thresholds(cfg, ckpts, classifier, detector, out)
-    scores = pipeline.screen_scores(classifier, detector, examples.features)
-    lines, counts = _decision_rows(thresholds, scores, "")
-    _write_lines(out / "decisions.csv", ["id,s_d,s_c,outcome,predicted_class"] + lines)
+    models = _load_model_pair(ckpts)
+    examples = _load_rows(input_path, models[0].layer_sizes[0])
+    scores = _screen_scores(models, ckpts, input_path, examples.features)
+    thresholds = _screening_thresholds(cfg, ckpts, models, out)
+    counts = _write_decisions(out / "decisions.csv", thresholds, [("", scores)])
     print(f"wrote {out / 'decisions.csv'}")
     for name, count in zip(_OUTCOME_NAMES, counts):
         print(f"{name}={count}")
@@ -253,7 +271,8 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
     thresholds.json records them for ``screen`` to reuse. All four dataset
     files are loaded and checked before anything is written.
     """
-    classifier, detector = _load_model_pair(ckpts)
+    models = _load_model_pair(ckpts)
+    classifier = models[0]
     dim = classifier.layer_sizes[0]
     sets = {
         "in_val": _load_rows(out / "in_val.csv", dim, what="validation rows"),
@@ -263,7 +282,7 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
         "far_ood": _load_rows(out / "far_ood.csv", dim),
     }
     scores = {
-        name: pipeline.screen_scores(classifier, detector, examples.features)
+        name: _screen_scores(models, ckpts, out / f"{name}.csv", examples.features)
         for name, examples in sets.items()
     }
     s_val = scores["in_val"].s_d
@@ -271,10 +290,9 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
     thresholds = _calibrated_thresholds(cfg, scores["in_val"])
     inputs = _calibration_inputs(cfg, ckpts, out / "in_val.csv")
     _write_thresholds(out / _THRESHOLDS_FILE, inputs, len(sets["in_val"]), thresholds)
-    score_lines: list[str] = []
-    for name in ("in_test", "shifted_test", "far_ood"):
-        score_lines.extend(_decision_rows(thresholds, scores[name], f"{name}/")[0])
-    _write_lines(out / "scores.csv", ["id,s_d,s_c,outcome,predicted_class"] + score_lines)
+    _write_decisions(out / "scores.csv", thresholds, [
+        (f"{name}/", scores[name]) for name in ("in_test", "shifted_test", "far_ood")
+    ])
 
     rate_lines = []
     for name in ("shifted_test", "far_ood"):

@@ -20,6 +20,7 @@ __all__ = [
     "CLUSTER_RADIUS",
     "RING_RADIUS",
     "RING_NOISE",
+    "CHUNK_ROWS",
     "ExampleSet",
     "GrayImage",
     "gen_in_domain",
@@ -106,17 +107,25 @@ def gen_far_ood(n: int, seed: int) -> ExampleSet:
     return ExampleSet(np.column_stack([radius * np.cos(theta), radius * np.sin(theta)]))
 
 
+# Rows per piece when a CSV is read or written: memory beyond the arrays
+# stays fixed however many rows the file has.
+CHUNK_ROWS = 8192
+
+
 def save_csv(path, examples: ExampleSet) -> None:
-    """Write examples with the header ``features:<d>,label:<0|1>``.
+    """Write examples with the header ``features:<d>,label:<0|1>``, CHUNK_ROWS rows at a time.
 
     Floats are written with repr so a load round-trips bit-identically.
     """
     labeled = examples.labels is not None
-    rows = [",".join(map(repr, row)) for row in examples.features.tolist()]
-    if labeled:
-        rows = [f"{row},{label}" for row, label in zip(rows, examples.labels.tolist())]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join([f"features:{examples.dim},label:{int(labeled)}", *rows]) + "\n")
+        fh.write(f"features:{examples.dim},label:{int(labeled)}\n")
+        for i in range(0, len(examples), CHUNK_ROWS):
+            rows = [",".join(map(repr, row)) for row in examples.features[i : i + CHUNK_ROWS].tolist()]
+            if labeled:
+                labels = examples.labels[i : i + CHUNK_ROWS].tolist()
+                rows = [f"{row},{label}" for row, label in zip(rows, labels)]
+            fh.write("\n".join(rows) + "\n")
 
 
 def _parse_header(line: str, path) -> tuple[int, bool]:
@@ -138,11 +147,11 @@ def _parse_header(line: str, path) -> tuple[int, bool]:
 
 
 def _raise_first_error(
-    path, lines: list[str], dim: int, labeled: bool, classes: int | None
+    path, lines: list[str], first: int, dim: int, labeled: bool, classes: int | None
 ) -> None:
-    """Check data lines one at a time and raise for the first malformed one."""
+    """Check data lines numbered from ``first`` one at a time; raise for the first malformed one."""
     want = dim + (1 if labeled else 0)
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=first):
         if not line.strip():
             continue
         fields = line.split(",")
@@ -165,24 +174,29 @@ def _raise_first_error(
                 raise ValueError(f"{path}:{lineno}: label {label} >= {classes} classes")
 
 
-def load_csv(path, classes: int | None = None) -> ExampleSet:
-    """Parse a dataset CSV; malformed input raises with the line number.
+def _pieces(text: str):
+    """(number of the first line, lines) of each piece of about CHUNK_ROWS lines.
 
-    With ``classes`` given, a label >= ``classes`` is malformed too. The
-    rows are parsed all at once; only when that fails are the lines
+    A piece ends right after a newline, which is always a line boundary
+    for str.splitlines, so the pieces' lines are ``text.splitlines()``.
+    """
+    width = CHUNK_ROWS * len(text) // (text.count("\n") + 1)
+    start, first = 0, 1
+    while start < len(text):
+        end = text.find("\n", start + width) + 1 or len(text)
+        lines = text[start:end].splitlines()
+        yield first, lines
+        start, first = end, first + len(lines)
+
+
+def _parse_rows(path, lines: list[str], first: int, dim: int, labeled: bool, classes: int | None):
+    """(features, labels or None) of data lines numbered from ``first``.
+
+    The rows are parsed all at once; only when that fails are the lines
     checked one at a time, to name the first malformed one.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:  # read() decodes the whole file, so exc.object is all of it
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
-    if not lines or not lines[0].strip():
-        raise ValueError(f"{path}:1: missing header")
-    dim, labeled = _parse_header(lines[0], path)
     want = dim + (1 if labeled else 0)
-    rows = list(filter(str.strip, lines[1:]))
+    rows = list(filter(str.strip, lines))
     try:
         if list(map(str.count, rows, itertools.repeat(","))).count(want - 1) != len(rows):
             raise ValueError("wrong field count")
@@ -200,9 +214,33 @@ def load_csv(path, classes: int | None = None) -> ExampleSet:
         if not np.all(np.isfinite(features)):
             raise ValueError("non-finite feature")
     except ValueError:
-        _raise_first_error(path, lines, dim, labeled, classes)
+        _raise_first_error(path, lines, first, dim, labeled, classes)
         raise
-    return ExampleSet(features, labels)
+    return features, labels
+
+
+def load_csv(path, classes: int | None = None) -> ExampleSet:
+    """Parse a dataset CSV; malformed input raises with the line number.
+
+    With ``classes`` given, a label >= ``classes`` is malformed too. The
+    file is decoded once, then parsed in pieces of about CHUNK_ROWS lines.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:  # read() decodes the whole file, so exc.object is all of it
+        # numbered the way str.splitlines numbers every other message's line
+        line = len((exc.object[: exc.start].decode("utf-8") + "-").splitlines())
+        raise ValueError(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
+    pieces = _pieces(text)
+    _, lines = next(pieces, (1, []))
+    if not lines or not lines[0].strip():
+        raise ValueError(f"{path}:1: missing header")
+    dim, labeled = _parse_header(lines[0], path)
+    parsed = [_parse_rows(path, lines[1:], 2, dim, labeled, classes)]
+    parsed += [_parse_rows(path, lines, first, dim, labeled, classes) for first, lines in pieces]
+    features = np.concatenate([f for f, _ in parsed])
+    return ExampleSet(features, np.concatenate([k for _, k in parsed]) if labeled else None)
 
 
 @dataclass

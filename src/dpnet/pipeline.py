@@ -25,6 +25,7 @@ __all__ = [
     "ScreeningThresholds",
     "Outcome",
     "RescoreRow",
+    "NonFiniteLogits",
     "ScreenScores",
     "score_set",
     "screen_scores",
@@ -67,6 +68,14 @@ class RescoreRow:
     auroc: float  # nan when a class is absent after discarding
 
 
+class NonFiniteLogits(ValueError):
+    """``model``'s forward pass overflowed on some row."""
+
+    def __init__(self, model: FeedForwardModel):
+        super().__init__("non-finite logits")
+        self.model = model
+
+
 def _block_scores(Z: np.ndarray, kind: ScoreKind) -> tuple[np.ndarray, np.ndarray]:
     """(score, referable posterior) rows from an (n, K) array of logits."""
     alpha = _alpha_rows(Z)
@@ -94,7 +103,8 @@ def _score_rows(model: FeedForwardModel, features: np.ndarray, kind: ScoreKind):
     Logits come from one forward pass per fixed 256-row block; the
     Dirichlet math then runs once per 8192-row chunk of them. Every
     floating-point reduction has a fixed shape per row, so the results
-    are the same whatever the number of rows.
+    are the same whatever the number of rows. A non-finite logit raises
+    NonFiniteLogits, without a numpy warning.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
@@ -105,8 +115,11 @@ def _score_rows(model: FeedForwardModel, features: np.ndarray, kind: ScoreKind):
     for i in range(0, n, _SCORE_CHUNK):
         rows = slice(i, min(i + _SCORE_CHUNK, n))
         Zc = Z[: rows.stop - i]
-        for j in range(0, Zc.shape[0], _SCORE_BLOCK):
-            Zc[j : j + _SCORE_BLOCK] = forward_batch(model, X[i + j : i + j + _SCORE_BLOCK])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(0, Zc.shape[0], _SCORE_BLOCK):
+                Zc[j : j + _SCORE_BLOCK] = forward_batch(model, X[i + j : i + j + _SCORE_BLOCK])
+        if not np.isfinite(Zc).all():
+            raise NonFiniteLogits(model)
         score[rows], referable[rows] = _block_scores(Zc, kind)
         predicted[rows] = Zc.argmax(axis=1)
     return score, predicted, referable

@@ -1,6 +1,9 @@
+import itertools
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dpnet import data as datamod
 from dpnet.data import (
     CLUSTER_RADIUS,
     ExampleSet,
@@ -226,6 +230,23 @@ def corruptions(want: int, labeled: bool) -> list[tuple[str, str]]:
 CLASSES = 2**62 + 1
 
 
+def damage(row: str, how: str, dim: int, column: int) -> str:
+    """``row`` with one corruption from ``corruptions`` applied."""
+    fields = row.split(",")
+    if how == "extra field":
+        fields.append("0")
+    elif how == "missing field":
+        fields.pop()
+    elif how in ("1.5", "-1", str(CLASSES)):
+        fields[dim] = how
+    else:
+        fields[column] = how
+    return ",".join(fields)
+
+
+line_endings = st.sampled_from(["\n", "\r\n", "\r"])
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.data())
 def test_csv_corrupt_line_is_named(data):
@@ -235,6 +256,7 @@ def test_csv_corrupt_line_is_named(data):
     bad_row = data.draw(st.integers(0, len(examples) - 1))
     column = data.draw(st.integers(0, dim - 1))
     blanks = data.draw(blank_lines)
+    ending = data.draw(line_endings)
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
@@ -242,22 +264,134 @@ def test_csv_corrupt_line_is_named(data):
         clean = path.read_text()
         for how, message in corruptions(want, labeled):
             header, *rows = clean.splitlines()
-            fields = rows[bad_row].split(",")
-            if how == "extra field":
-                fields.append("0")
-            elif how == "missing field":
-                fields.pop()
-            elif how in ("1.5", "-1", str(CLASSES)):
-                fields[dim] = how
-            else:
-                fields[column] = how
-            rows[bad_row] = ",".join(fields)
+            rows[bad_row] = damage(rows[bad_row], how, dim, column)
             text, numbers = with_blank_lines("\n".join([header, *rows]), blanks)
-            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+            path.write_bytes(text.replace("\n", ending).encode("utf-8", "surrogateescape"))
             expected = message.format(want=want, more=want + 1, less=want - 1)
             with pytest.raises(ValueError) as err:
                 load_csv(path, CLASSES)
             assert str(err.value) == f"{path}:{numbers[bad_row]}: {expected}"
+
+
+# load_csv and save_csv as they were before CSVs were read and written in chunks:
+# the whole file's lines, tokens and text at once
+def whole_file_raise_first_error(path, lines, dim, labeled, classes):
+    want = dim + (1 if labeled else 0)
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != want:
+            raise ValueError(f"{path}:{lineno}: expected {want} fields, got {len(fields)}")
+        try:
+            row = [float(t) for t in fields[:dim]]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric feature") from None
+        if not all(math.isfinite(v) for v in row):
+            raise ValueError(f"{path}:{lineno}: non-finite feature")
+        if labeled:
+            try:
+                label = int(fields[dim])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: label must be an integer") from None
+            if label < 0:
+                raise ValueError(f"{path}:{lineno}: label must be >= 0")
+            if classes is not None and label >= classes:
+                raise ValueError(f"{path}:{lineno}: label {label} >= {classes} classes")
+
+
+def whole_file_load_csv(path, classes=None):
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or not lines[0].strip():
+        raise ValueError(f"{path}:1: missing header")
+    dim, labeled = datamod._parse_header(lines[0], path)
+    want = dim + (1 if labeled else 0)
+    rows = list(filter(str.strip, lines[1:]))
+    try:
+        if list(map(str.count, rows, itertools.repeat(","))).count(want - 1) != len(rows):
+            raise ValueError("wrong field count")
+        tokens = ",".join(rows).split(",") if rows else []
+        labels = None
+        if labeled:
+            labels = np.array([int(t) for t in tokens[dim::want]], dtype=np.int64)
+            del tokens[dim::want]
+            if labels.size and (
+                labels.min() < 0 or classes is not None and labels.max() >= classes
+            ):
+                raise ValueError("label out of range")
+        features = np.array(tokens, dtype=float).reshape(len(rows), dim)
+        if not np.all(np.isfinite(features)):
+            raise ValueError("non-finite feature")
+    except ValueError:
+        whole_file_raise_first_error(path, lines, dim, labeled, classes)
+        raise
+    return ExampleSet(features, labels)
+
+
+def whole_file_save_csv(path, examples):
+    labeled = examples.labels is not None
+    rows = [",".join(map(repr, row)) for row in examples.features.tolist()]
+    if labeled:
+        rows = [f"{row},{label}" for row, label in zip(rows, examples.labels.tolist())]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join([f"features:{examples.dim},label:{int(labeled)}", *rows]) + "\n")
+
+
+def load_or_error(load, path):
+    try:
+        return load(path, CLASSES)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_chunked_csv_io_matches_whole_file(data):
+    """With pieces of a few rows, files cross many piece edges: same bytes, arrays and errors."""
+    examples = data.draw(example_sets(max_rows=40))
+    blanks = data.draw(blank_lines)
+    ending = data.draw(line_endings)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        datamod, "CHUNK_ROWS", data.draw(st.integers(1, 4))
+    ):
+        path = Path(tmp) / "data.csv"
+        whole_file_save_csv(path, examples)
+        expected = path.read_bytes()
+        save_csv(path, examples)
+        assert path.read_bytes() == expected
+
+        header, *rows = path.read_text().splitlines()
+        if rows and data.draw(st.booleans()):
+            labeled = examples.labels is not None
+            kinds = corruptions(examples.dim + labeled, labeled)[:-1]  # not the UTF-8 one
+            i = data.draw(st.integers(0, len(rows) - 1))
+            how = data.draw(st.sampled_from([how for how, _ in kinds]))
+            rows[i] = damage(rows[i], how, examples.dim, data.draw(st.integers(0, examples.dim - 1)))
+        text = with_blank_lines("\n".join([header, *rows]), blanks)[0]
+        path.write_bytes(text.replace("\n", ending).encode())
+        got, want = load_or_error(load_csv, path), load_or_error(whole_file_load_csv, path)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    if want.labels is None:
+        assert got.labels is None
+    else:
+        assert got.labels.tobytes() == want.labels.tobytes()
+
+
+def test_save_csv_memory_stays_flat(tmp_path):
+    """The traced peak of writing 100k rows: about 2.5 MiB, where the whole-file writer took 21 MiB."""
+    examples = ExampleSet(np.random.default_rng(3).normal(0, 6, (100_000, 2)), np.arange(100_000) % 3)
+    tracemalloc.start()
+    try:
+        save_csv(tmp_path / "big.csv", examples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
 
 
 def test_csv_missing_file():
