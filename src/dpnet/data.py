@@ -146,34 +146,6 @@ def _parse_header(line: str, path) -> tuple[int, bool]:
     return dim, bool(flag)
 
 
-def _raise_first_error(
-    path, lines: list[str], first: int, dim: int, labeled: bool, classes: int | None
-) -> None:
-    """Check data lines numbered from ``first`` one at a time; raise for the first malformed one."""
-    want = dim + (1 if labeled else 0)
-    for lineno, line in enumerate(lines, start=first):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != want:
-            raise ValueError(f"{path}:{lineno}: expected {want} fields, got {len(fields)}")
-        try:
-            row = [float(t) for t in fields[:dim]]
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric feature") from None
-        if not all(math.isfinite(v) for v in row):
-            raise ValueError(f"{path}:{lineno}: non-finite feature")
-        if labeled:
-            try:
-                label = int(fields[dim])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: label must be an integer") from None
-            if label < 0:
-                raise ValueError(f"{path}:{lineno}: label must be >= 0")
-            if classes is not None and label >= classes:
-                raise ValueError(f"{path}:{lineno}: label {label} >= {classes} classes")
-
-
 def _pieces(text: str):
     """(number of the first line, lines) of each piece of about CHUNK_ROWS lines.
 
@@ -189,34 +161,62 @@ def _pieces(text: str):
         start, first = end, first + len(lines)
 
 
-def _parse_rows(path, lines: list[str], first: int, dim: int, labeled: bool, classes: int | None):
-    """(features, labels or None) of data lines numbered from ``first``.
+def _parse_lines(lines: list[str], dim: int, labeled: bool, classes: int | None):
+    """(features, labels or None) of data lines, blank ones skipped: the one copy of the row rules.
 
-    The rows are parsed all at once; only when that fails are the lines
-    checked one at a time, to name the first malformed one.
+    A broken rule raises ValueError naming the first one in this order,
+    without a line number: field count, numeric feature, finite feature,
+    integer label, label >= 0, label < ``classes``, label < 2**63.
     """
     want = dim + (1 if labeled else 0)
     rows = list(filter(str.strip, lines))
-    try:
-        if list(map(str.count, rows, itertools.repeat(","))).count(want - 1) != len(rows):
-            raise ValueError("wrong field count")
-        tokens = ",".join(rows).split(",") if rows else []
-        labels = None
-        if labeled:
-            labels = np.array([int(t) for t in tokens[dim::want]], dtype=np.int64)
-            del tokens[dim::want]
-            if labels.size and (
-                labels.min() < 0 or classes is not None and labels.max() >= classes
-            ):
-                raise ValueError("label out of range")
-        # np.array converts each str with Python's float, like the line check
+    commas = list(map(str.count, rows, itertools.repeat(",")))
+    if commas.count(want - 1) != len(rows):
+        got = next(c for c in commas if c != want - 1) + 1
+        raise ValueError(f"expected {want} fields, got {got}")
+    tokens = ",".join(rows).split(",") if rows else []
+    labels = None
+    if labeled:
+        labels = tokens[dim::want]
+        del tokens[dim::want]
+    try:  # np.array converts each str with Python's float
         features = np.array(tokens, dtype=float).reshape(len(rows), dim)
-        if not np.all(np.isfinite(features)):
-            raise ValueError("non-finite feature")
     except ValueError:
-        _raise_first_error(path, lines, first, dim, labeled, classes)
+        raise ValueError("non-numeric feature") from None
+    if not np.all(np.isfinite(features)):
+        raise ValueError("non-finite feature")
+    if labels is None:
+        return features, None
+    try:
+        labels = [int(t) for t in labels]
+    except ValueError:
+        raise ValueError("label must be an integer") from None
+    # range-checked as Python ints, so the int64 array cannot overflow
+    low, high = min(labels, default=0), max(labels, default=0)
+    if low < 0:
+        raise ValueError("label must be >= 0")
+    if classes is not None and high >= classes:
+        raise ValueError(f"label {high} >= {classes} classes")
+    if high >= 2**63:
+        raise ValueError("label must be < 2**63")
+    return features, np.array(labels, dtype=np.int64)
+
+
+def _parse_rows(path, lines: list[str], first: int, dim: int, labeled: bool, classes: int | None):
+    """(features, labels or None) of data lines numbered from ``first``.
+
+    The lines are parsed all at once; only when that fails are they
+    parsed one at a time, to name the first malformed one.
+    """
+    try:
+        return _parse_lines(lines, dim, labeled, classes)
+    except ValueError:
+        for lineno, line in enumerate(lines, start=first):
+            try:
+                _parse_lines([line], dim, labeled, classes)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
         raise
-    return features, labels
 
 
 def load_csv(path, classes: int | None = None) -> ExampleSet:

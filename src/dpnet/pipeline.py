@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -146,24 +147,29 @@ def screen_scores(
     return ScreenScores(s_d, s_c, predicted, referable)
 
 
-def calibrate_threshold(scores, drop_fraction: float) -> float:
-    """Score at ascending rank ceil((1 - p) * N); strictly larger scores drop.
-
-    Exactly floor(p * N) validation scores exceed the threshold when
-    scores are distinct, never more.
-    """
+def _score_array(scores) -> np.ndarray:
+    """``scores`` as a float array; refused unless 1-D, nonempty and finite."""
     arr = np.asarray(scores, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("scores must be a nonempty 1-D array")
     if not np.all(np.isfinite(arr)):
         raise ValueError("scores must be finite")
+    return arr
+
+
+def calibrate_threshold(scores, drop_fraction: float) -> float:
+    """Score at ascending rank ceil((1 - p) * N); strictly larger scores drop.
+
+    Exactly floor(p * N) validation scores exceed the threshold when
+    scores are distinct, never more. p * N is taken exactly, with p as
+    the decimal its repr shows.
+    """
+    arr = _score_array(scores)
     p = float(drop_fraction)
     if not 0.0 < p < 1.0:
         raise ValueError("drop_fraction must lie in (0, 1)")
     n = arr.size
-    # rank = n - floor(p n) equals ceil((1 - p) n); the epsilon guards
-    # against p * n landing just below an exact integer in float math
-    drop = int(math.floor(p * n + 1e-9))
+    drop = math.floor(Fraction(repr(p)) * n)
     return float(np.sort(arr)[n - drop - 1])
 
 
@@ -194,22 +200,15 @@ def _midranks(values: np.ndarray) -> np.ndarray:
 
 def auroc(negative_scores, positive_scores) -> float:
     """P(score+ > score-) + 0.5 P(tie): the normalized Mann-Whitney U."""
-    neg = np.asarray(negative_scores, dtype=float)
-    pos = np.asarray(positive_scores, dtype=float)
-    if neg.ndim != 1 or pos.ndim != 1 or neg.size == 0 or pos.size == 0:
-        raise ValueError("both score groups must be nonempty 1-D arrays")
-    if not (np.all(np.isfinite(neg)) and np.all(np.isfinite(pos))):
-        raise ValueError("scores must be finite")
+    neg, pos = _score_array(negative_scores), _score_array(positive_scores)
     ranks = _midranks(np.concatenate([neg, pos]))
     u = ranks[neg.size :].sum() - pos.size * (pos.size + 1) / 2.0
     return float(u / (neg.size * pos.size))
 
 
 def ood_detection_rate(scores, tau: float) -> float:
-    """Fraction of scores strictly above the threshold."""
-    arr = np.asarray(scores, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("scores must be a nonempty 1-D array")
+    """Fraction of scores strictly above the threshold; the scores must be finite."""
+    arr = _score_array(scores)
     if not math.isfinite(tau):
         raise ValueError("tau must be finite")
     return float((arr > tau).mean())

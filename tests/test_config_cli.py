@@ -465,16 +465,16 @@ def screen_argv(cfg: str, ckpts: list[str], out) -> list[str]:
 # every (command, input file) pair a command reads, with the defects that apply to it;
 # input.csv is the --input of screen and plot, and labels matter where train or eval uses them
 INPUT_DEFECTS = [
-    ("train", "in_train.csv", ("missing", "header-only", "unlabeled", "label-range")),
+    ("train", "in_train.csv", ("missing", "header-only", "unlabeled", "label-range", "huge-label")),
     ("train", "in_val.csv", ("missing", "header-only", "wide", "unlabeled", "label-range")),
     ("train", "far_ood.csv", ("missing", "header-only", "wide")),
     ("eval", "in_val.csv", ("missing", "header-only", "wide")),
     ("eval", "in_test.csv", ("missing", "header-only", "wide")),
     ("eval", "shifted_test.csv", ("missing", "header-only", "wide", "unlabeled", "label-range")),
     ("eval", "far_ood.csv", ("missing", "header-only", "wide", "narrow")),
-    ("screen", "input.csv", ("missing", "header-only", "wide", "late-row")),
+    ("screen", "input.csv", ("missing", "header-only", "wide", "late-row", "huge-label")),
     ("screen", "in_val.csv", ("missing", "header-only", "wide")),
-    ("plot", "input.csv", ("missing", "header-only", "wide")),
+    ("plot", "input.csv", ("missing", "header-only", "wide", "huge-label")),
 ]
 
 
@@ -498,6 +498,8 @@ def test_cli_refuses_bad_input_before_writing(experiment, tmp_path, capsys, comm
             "narrow": f"features:1,{header.split(',')[1]}\n0.5{label}\n",
             "unlabeled": "features:2,label:0\n0.0,1.0\n",
             "label-range": "features:2,label:1\n0.0,1.0,0\n0.5,0.5,3\n",
+            # past int64; screen and plot read --input without a class count
+            "huge-label": f"features:2,label:1\n0.0,1.0,0\n0.5,0.5,{2**63}\n",
             # past the first piece load_csv parses
             "late-row": header + "\n" + f"0.5,0.5{label}\n" * 9000 + f"0.5,x{label}\n",
         }[defect])
@@ -509,6 +511,8 @@ def test_cli_refuses_bad_input_before_writing(experiment, tmp_path, capsys, comm
         "narrow": f"{path}: 1 features, {expect} 2",
         "unlabeled": f"{path}: no labels",
         "label-range": f"{path}:3: label 3 >= 3 classes",
+        "huge-label": f"{path}:3: label {2**63} >= 3 classes" if command == "train"
+        else f"{path}:3: label must be < 2**63",
         "late-row": f"{path}:9002: non-numeric feature",
     }[defect]
     argv = {

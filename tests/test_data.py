@@ -220,6 +220,7 @@ def corruptions(want: int, labeled: bool) -> list[tuple[str, str]]:
             ("1.5", "label must be an integer"),
             ("-1", "label must be >= 0"),
             (str(CLASSES), f"label {CLASSES} >= {CLASSES} classes"),
+            (HUGE_LABEL, f"label {HUGE_LABEL} >= {CLASSES} classes"),
         ]
     # a lone surrogate is written as the raw byte 0xff
     kinds.append(("\udcff", "not UTF-8 (invalid start byte)"))
@@ -228,6 +229,8 @@ def corruptions(want: int, labeled: bool) -> list[tuple[str, str]]:
 
 # one more than the largest label example_sets draws, so only the planted label is out of range
 CLASSES = 2**62 + 1
+# the smallest label past int64; without ``classes`` it is refused as "label must be < 2**63"
+HUGE_LABEL = str(2**63)
 
 
 def damage(row: str, how: str, dim: int, column: int) -> str:
@@ -237,7 +240,7 @@ def damage(row: str, how: str, dim: int, column: int) -> str:
         fields.append("0")
     elif how == "missing field":
         fields.pop()
-    elif how in ("1.5", "-1", str(CLASSES)):
+    elif how in ("1.5", "-1", str(CLASSES), HUGE_LABEL):
         fields[dim] = how
     else:
         fields[column] = how
@@ -271,6 +274,10 @@ def test_csv_corrupt_line_is_named(data):
             with pytest.raises(ValueError) as err:
                 load_csv(path, CLASSES)
             assert str(err.value) == f"{path}:{numbers[bad_row]}: {expected}"
+            if how == HUGE_LABEL:
+                with pytest.raises(ValueError) as err:
+                    load_csv(path)
+                assert str(err.value) == f"{path}:{numbers[bad_row]}: label must be < 2**63"
 
 
 # load_csv and save_csv as they were before CSVs were read and written in chunks:
@@ -364,7 +371,8 @@ def test_chunked_csv_io_matches_whole_file(data):
         header, *rows = path.read_text().splitlines()
         if rows and data.draw(st.booleans()):
             labeled = examples.labels is not None
-            kinds = corruptions(examples.dim + labeled, labeled)[:-1]  # not the UTF-8 one
+            # not the UTF-8 one, nor a label past int64: the whole-file code raises OverflowError on it
+            kinds = [k for k in corruptions(examples.dim + labeled, labeled)[:-1] if k[0] != HUGE_LABEL]
             i = data.draw(st.integers(0, len(rows) - 1))
             how = data.draw(st.sampled_from([how for how, _ in kinds]))
             rows[i] = damage(rows[i], how, examples.dim, data.draw(st.integers(0, examples.dim - 1)))
@@ -380,6 +388,32 @@ def test_chunked_csv_io_matches_whole_file(data):
         assert got.labels is None
     else:
         assert got.labels.tobytes() == want.labels.tobytes()
+
+
+# lines that break two rules, and pairs of lines where the later one breaks an earlier rule
+TWO_FAULTS = [
+    ["abc,0.5,1.5"],  # non-numeric feature, non-integer label
+    ["nan,0.5,-1"],  # non-finite feature, negative label
+    ["inf,abc,0"],  # non-finite and non-numeric features
+    ["0.5,0.5,1.5,x"],  # field count, non-integer label
+    ["0.5,0.5,-1.5"],  # non-integer and negative label
+    [f"0.5,0.5,{2**63}"],  # label >= classes and past int64
+    ["0.5,0.5,-1", "abc,0.5,0"],
+    ["0.5,0.5,7", "0.5,0.5,1.5"],
+]
+
+
+@pytest.mark.parametrize("rows", TWO_FAULTS)
+def test_csv_first_broken_rule_is_named(tmp_path, rows):
+    """The first bad line is named by the first rule it breaks, as the line-by-line checker names it."""
+    path = tmp_path / "bad.csv"
+    lines = ["features:2,label:1", "0.0,1.0,0", *rows, "1.0,0.0,2"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as expected:
+        whole_file_raise_first_error(path, lines, 2, True, 3)
+    with pytest.raises(ValueError) as got:
+        load_csv(path, 3)
+    assert str(got.value) == str(expected.value)
 
 
 def test_save_csv_memory_stays_flat(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -151,7 +152,23 @@ def test_calibrate_threshold_drop_count_property():
         scores = rng.normal(0.0, 1.0, n)
         p = float(rng.uniform(0.01, 0.5))
         tau = calibrate_threshold(scores, p)
-        assert int((scores > tau).sum()) == math.floor(p * n + 1e-9)
+        assert int((scores > tau).sum()) == math.floor(Fraction(repr(p)) * n)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 15).flatmap(lambda places: st.tuples(
+    st.just(places), st.integers(1, 10**places - 1))), st.integers(1, 20_000))
+@example((12, 333333333333), 3)  # p * n is 0.999999999999: drop none, tau = 2.0
+@example((13, 2999999999999), 10)  # p * n is 2.999999999999: drop 2 rows, not 3
+def test_calibrate_threshold_drops_exact_decimal_share(decimal, n):
+    """For a drop fraction with at most 15 decimal places, floor(p * N) is taken exactly."""
+    places, digits = decimal
+    share = Fraction(digits, 10**places)
+    scores = np.arange(n, dtype=float)
+    tau = calibrate_threshold(scores, float(share))
+    drop = math.floor(share * n)
+    assert tau == n - 1 - drop
+    assert int((scores > tau).sum()) == drop
 
 
 def test_calibrate_threshold_ties_never_overdrop():
@@ -343,6 +360,8 @@ def test_ood_detection_rate_strictness():
     assert ood_detection_rate(scores, 0.0) == 1.0
     with pytest.raises(ValueError):
         ood_detection_rate([], 0.5)
+    with pytest.raises(ValueError):
+        ood_detection_rate([1.0, math.nan], 0.5)
     with pytest.raises(ValueError):
         ood_detection_rate(scores, math.inf)
 
