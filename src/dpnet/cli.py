@@ -116,11 +116,26 @@ def cmd_train(cfg: cfgmod.ExperimentConfig, role_name: str, out: Path) -> int:
 
 
 _ModelPair = tuple[network.FeedForwardModel, network.FeedForwardModel]  # classifier, detector
+_Digests = tuple[str | None, str | None]  # SHA-256 of the classifier and detector checkpoints
+
+# the last pair _load_model_pair built, keyed by the digests of the bytes it was built from
+_last_pair: tuple[_Digests, _ModelPair] | None = None
 
 
-def _load_model_pair(paths: list[str]) -> _ModelPair:
+def _load_model_pair(paths: list[str]) -> tuple[_ModelPair, _Digests]:
+    """Both models, and the SHA-256 digests of the checkpoint files they come from.
+
+    Each checkpoint is read and hashed once. When both digests, in order,
+    are those of the last pair built, that pair is returned without being
+    parsed again; cli never changes a model it loaded. Otherwise both are
+    loaded by network.load_checkpoint and must agree on input and class count.
+    """
+    global _last_pair
     if len(paths) != 2:
         raise ValueError("expected two --checkpoint flags: classifier first, detector second")
+    digests = (_sha256(paths[0]), _sha256(paths[1]))
+    if _last_pair is not None and _last_pair[0] == digests and None not in digests:
+        return _last_pair[1], digests
     classifier = network.load_checkpoint(paths[0])
     detector = network.load_checkpoint(paths[1])
     if classifier.layer_sizes[0] != detector.layer_sizes[0] or (
@@ -130,7 +145,8 @@ def _load_model_pair(paths: list[str]) -> _ModelPair:
             f"checkpoints disagree on input or class count: classifier {paths[0]} has layer_sizes "
             f"{list(classifier.layer_sizes)}, detector {paths[1]} has {list(detector.layer_sizes)}"
         )
-    return classifier, detector
+    _last_pair = digests, (classifier, detector)
+    return (classifier, detector), digests
 
 
 def _calibrated_thresholds(
@@ -161,18 +177,22 @@ class _StoredThresholds:
 
 
 def _sha256(path) -> str | None:
-    """The file's SHA-256 hex digest; None if it is missing, which matches no stored digest."""
+    """The file's SHA-256 hex digest; None if it cannot be read, which matches no stored digest.
+
+    The read that follows a None refuses the file with its own message.
+    """
     try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    except FileNotFoundError:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError:
         return None
 
 
-def _calibration_inputs(cfg: cfgmod.ExperimentConfig, ckpts: list[str], val_path: Path) -> dict:
+def _calibration_inputs(cfg: cfgmod.ExperimentConfig, digests: _Digests, val_path: Path) -> dict:
     """The thresholds.json fields that must all match for its thresholds to be reused."""
     return {
-        "classifier_sha256": _sha256(ckpts[0]),
-        "detector_sha256": _sha256(ckpts[1]),
+        "classifier_sha256": digests[0],
+        "detector_sha256": digests[1],
         "drop_fraction_classifier": cfg.screening.drop_fraction_classifier,
         "drop_fraction_detector": cfg.screening.drop_fraction_detector,
         "format": _THRESHOLDS_FORMAT,
@@ -197,11 +217,11 @@ def _screen_scores(models: _ModelPair, ckpts: list[str], path, features) -> pipe
 
 
 def _screening_thresholds(
-    cfg: cfgmod.ExperimentConfig, ckpts: list[str], models: _ModelPair, out: Path
+    cfg: cfgmod.ExperimentConfig, ckpts: list[str], models: _ModelPair, digests: _Digests, out: Path
 ) -> pipeline.ScreeningThresholds:
     """Stored thresholds while thresholds.json matches; else calibrate and rewrite it."""
     val_path = out / "in_val.csv"
-    inputs = _calibration_inputs(cfg, ckpts, val_path)
+    inputs = _calibration_inputs(cfg, digests, val_path)
     path = out / _THRESHOLDS_FILE
     stored = cfgmod.read_json(path, _StoredThresholds) if path.exists() else None
     if stored is not None and all(getattr(stored, key) == value for key, value in inputs.items()):
@@ -253,10 +273,10 @@ def cmd_screen(cfg: cfgmod.ExperimentConfig, ckpts: list[str], input_path: str, 
     is rewritten. A malformed file, or logits that overflow, are refused,
     naming the file, before any file is written.
     """
-    models = _load_model_pair(ckpts)
+    models, digests = _load_model_pair(ckpts)
     examples = _load_rows(input_path, models[0].layer_sizes[0])
     scores = _screen_scores(models, ckpts, input_path, examples.features)
-    thresholds = _screening_thresholds(cfg, ckpts, models, out)
+    thresholds = _screening_thresholds(cfg, ckpts, models, digests, out)
     counts = _write_decisions(out / "decisions.csv", thresholds, [("", scores)])
     print(f"wrote {out / 'decisions.csv'}")
     for name, count in zip(_OUTCOME_NAMES, counts):
@@ -271,7 +291,7 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
     thresholds.json records them for ``screen`` to reuse. All four dataset
     files are loaded and checked before anything is written.
     """
-    models = _load_model_pair(ckpts)
+    models, digests = _load_model_pair(ckpts)
     classifier = models[0]
     dim = classifier.layer_sizes[0]
     sets = {
@@ -288,7 +308,7 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
     s_val = scores["in_val"].s_d
 
     thresholds = _calibrated_thresholds(cfg, scores["in_val"])
-    inputs = _calibration_inputs(cfg, ckpts, out / "in_val.csv")
+    inputs = _calibration_inputs(cfg, digests, out / "in_val.csv")
     _write_thresholds(out / _THRESHOLDS_FILE, inputs, len(sets["in_val"]), thresholds)
     _write_decisions(out / "scores.csv", thresholds, [
         (f"{name}/", scores[name]) for name in ("in_test", "shifted_test", "far_ood")

@@ -230,7 +230,7 @@ def _to_json(value):
     return value
 
 
-def _from_json(tp, value, where: str):
+def _from_json(tp, value, where: str = ""):
     """Check a JSON value against the declared type tp and build it.
 
     where is the key path, used in every error message. A field whose
@@ -281,12 +281,30 @@ def from_dict(d: dict) -> ExperimentConfig:
     return _from_json(ExperimentConfig, {k: v for k, v in d.items() if k != "schema_version"}, "")
 
 
-def _load_json(path, build):
-    """build(value) for the JSON value in the file at path; every refusal starts with '<path>: '."""
+# how many (builder, file bytes) results _load_json keeps; a config and a thresholds file per run
+_JSON_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_JSON_CACHE_SIZE)
+def _build_json(raw: bytes, build, *args):
+    """build(*args, value) for the JSON value in raw; a call that raises is not kept."""
+    # universal newlines, as a text-mode read gives, so error positions count the same characters
+    text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return build(*args, json.loads(text))
+
+
+def _load_json(path, build, *args):
+    """build(*args, value) for the JSON value in the file at path; every refusal starts with '<path>: '.
+
+    The file is read on every call, but bytes that this builder built
+    recently are not decoded or checked again: the object built from
+    them before is returned. Builders return frozen dataclasses.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            return build(json.load(fh))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return _build_json(raw, build, *args)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -294,7 +312,7 @@ def _load_json(path, build):
 
 def read_json(path, cls):
     """The dataclass cls, built from the JSON file at path after _from_json checks every field."""
-    return _load_json(path, functools.partial(_from_json, cls, where=""))
+    return _load_json(path, _from_json, cls)
 
 
 def write_json(path, blob) -> None:

@@ -43,5 +43,10 @@ def test_bench_screen_requests_tiny():
     run_tiny("screen_requests", 0, "end_to_end")
 
 
+def test_bench_screen_requests_tiny_traced():
+    """Every per-layer metric on the request path, where the config and the checkpoints are reused."""
+    run_tiny("screen_requests", 1, "per_layer")
+
+
 def test_bench_train_tiny():
     run_tiny("train", 0, "end_to_end")

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dpnet import cli, data, pipeline
+from dpnet import cli, config, data, network, pipeline
 from dpnet.config import (
     SCHEMA_VERSION,
     DatasetConfig,
@@ -433,6 +433,13 @@ def test_cli_reports_broken_config(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == f"error: {path}: model.hidden must be a list\n"
 
+    # deeper than the JSON decoder's recursion limit
+    blob["model"]["hidden"] = "deep"
+    path.write_text(json.dumps(blob).replace('"deep"', "[" * 100_000 + "]" * 100_000))
+    rc = cli.main(["gen", "--config", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON: maximum recursion depth")
+
 
 def test_cli_parses_each_call_afresh(experiment, monkeypatch):
     seen = []
@@ -722,7 +729,11 @@ def test_screen_recalibrates_stale_thresholds_file(experiment, tmp_path, change)
         "drop_fraction_detector must be a finite number",
     ),
     (lambda blob: json.dumps({**blob, "tau": 0.1}), "unknown key 'tau'"),
-], ids=["bad-json", "not-an-object", "missing-key", "string-tau", "nan-tau", "nan-drop-fraction", "unknown-key"])
+    (lambda blob: "[" * 100_000 + "]" * 100_000, "invalid JSON: maximum recursion depth"),
+], ids=[
+    "bad-json", "not-an-object", "missing-key", "string-tau", "nan-tau", "nan-drop-fraction", "unknown-key",
+    "deep-nesting",
+])
 def test_screen_refuses_malformed_thresholds_file(experiment, tmp_path, capsys, corrupt, message):
     ckpts = copy_run(experiment, tmp_path)
     screen = screen_argv(experiment["cfg"], ckpts, tmp_path)
@@ -745,6 +756,102 @@ def test_screen_without_validation_file_fails_cold_and_warm(experiment, tmp_path
         assert cli.main(screen) == 1
         assert capsys.readouterr().err == f"error: missing dataset file {tmp_path / 'in_val.csv'}\n"
         (tmp_path / "thresholds.json").unlink(missing_ok=True)
+
+
+def decision_scores(path) -> tuple[list[str], list[str]]:
+    """The s_d and s_c columns of a decisions.csv, as written."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return [r[1] for r in rows], [r[2] for r in rows]
+
+
+def direct_scores(classifier, detector, input_path) -> tuple[list[str], list[str]]:
+    """The s_d and s_c columns that screening input_path with these checkpoints must write,
+    computed without the CLI."""
+    scores = pipeline.screen_scores(
+        load_checkpoint(classifier), load_checkpoint(detector), load_csv(input_path).features
+    )
+    return [repr(x) for x in scores.s_d.tolist()], [repr(x) for x in scores.s_c.tolist()]
+
+
+def test_screen_follows_a_rewritten_config(experiment, tmp_path):
+    """A warm screen, then config.json rewritten in place: the next screen recalibrates."""
+    ckpts = copy_run(experiment, tmp_path)
+    cfg = tmp_path / "config.json"
+    save_config(small_config(str(tmp_path)), cfg)
+    screen = screen_argv(str(cfg), ckpts, tmp_path)
+    assert run_cli(screen)[0] == 0
+    before = json.loads((tmp_path / "thresholds.json").read_text())
+    screening = ScreeningConfig(drop_fraction_detector=0.2)
+    save_config(dataclasses.replace(small_config(str(tmp_path)), screening=screening), cfg)
+    assert run_cli(screen)[0] == 0
+    after = json.loads((tmp_path / "thresholds.json").read_text())
+    assert (before["drop_fraction_detector"], after["drop_fraction_detector"]) == (0.05, 0.2)
+    assert after["tau_d"] < before["tau_d"]
+
+
+def test_screen_refuses_an_invalid_config_on_every_call(experiment, tmp_path, capsys):
+    """After a warm screen, an invalid config.json is refused with its path on each call;
+    restored, it screens again."""
+    ckpts = copy_run(experiment, tmp_path)
+    cfg = tmp_path / "config.json"
+    save_config(small_config(str(tmp_path)), cfg)
+    valid = cfg.read_bytes()
+    screen = screen_argv(str(cfg), ckpts, tmp_path)
+    assert cli.main(screen) == 0
+    blob = json.loads(valid)
+    blob["screening"]["drop_fraction_detector"] = 1.5
+    cfg.write_text(json.dumps(blob))
+    for _ in range(2):
+        capsys.readouterr()
+        assert cli.main(screen) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: screening: drop_fraction_detector must lie in (0, 1)\n"
+        )
+    cfg.write_bytes(valid)
+    assert cli.main(screen) == 0
+
+
+def test_screen_follows_an_overwritten_checkpoint(experiment, tmp_path):
+    """After a warm screen, classifier.ckpt gets other valid bytes: decisions follow the new model."""
+    ckpts = copy_run(experiment, tmp_path)
+    screen = screen_argv(experiment["cfg"], ckpts, tmp_path)
+    assert run_cli(screen)[0] == 0
+    old = decision_scores(tmp_path / "decisions.csv")
+    perturb_checkpoint(tmp_path / "classifier.ckpt")
+    assert run_cli(screen)[0] == 0
+    new = direct_scores(tmp_path / "classifier.ckpt", tmp_path / "detector.ckpt", tmp_path / "shifted_test.csv")
+    assert decision_scores(tmp_path / "decisions.csv") == new != old
+
+
+def test_screen_loads_swapped_checkpoints_again(experiment, tmp_path, monkeypatch):
+    """After a warm screen, the same two checkpoints in the other order are loaded, not reused."""
+    ckpts = copy_run(experiment, tmp_path)
+    assert run_cli(screen_argv(experiment["cfg"], ckpts, tmp_path))[0] == 0
+    loaded = []
+    load = network.load_checkpoint
+    monkeypatch.setattr(network, "load_checkpoint", lambda path: loaded.append(path) or load(path))
+    swapped = [ckpts[0], ckpts[3], ckpts[2], ckpts[1]]
+    assert run_cli(screen_argv(experiment["cfg"], swapped, tmp_path))[0] == 0
+    assert loaded == [ckpts[3], ckpts[1]]
+    classifier, detector = tmp_path / "detector.ckpt", tmp_path / "classifier.ckpt"
+    direct = direct_scores(classifier, detector, tmp_path / "shifted_test.csv")
+    assert decision_scores(tmp_path / "decisions.csv") == direct
+    stored = json.loads((tmp_path / "thresholds.json").read_text())
+    assert stored["classifier_sha256"] == hashlib.sha256(classifier.read_bytes()).hexdigest()
+
+
+def test_repeated_screen_builds_nothing_again(experiment, tmp_path, monkeypatch):
+    """Of two identical screens, the second calls neither config.from_dict nor network.load_checkpoint."""
+    calls = []
+    for module, name in ((config, "from_dict"), (network, "load_checkpoint")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda arg, name=name, f=original: calls.append(name) or f(arg))
+    screen = screen_argv(experiment["cfg"], copy_run(experiment, tmp_path), tmp_path)
+    assert run_cli(screen)[0] == 0
+    first = list(calls)
+    assert first.count("from_dict") == 1
+    assert run_cli(screen)[0] == 0
+    assert calls == first
 
 
 def per_row_decision_rows(thresholds, scores, id_prefix):
