@@ -9,6 +9,7 @@ clusters. All randomness flows from explicit seeds.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -141,24 +142,31 @@ def _parse_header(line: str, path) -> tuple[int, bool]:
         flag = int(parts[1].removeprefix("label:"))
     except ValueError:
         raise ValueError(f"{path}:1: malformed header counts") from None
-    if dim < 1 or flag not in (0, 1):
+    # numpy refuses a row shape whose float64 bytes overflow its signed size type
+    if not 1 <= dim <= np.iinfo(np.intp).max // 8 or flag not in (0, 1):
         raise ValueError(f"{path}:1: malformed header counts")
     return dim, bool(flag)
 
 
-def _pieces(text: str):
-    """(number of the first line, lines) of each piece of about CHUNK_ROWS lines.
+def _pieces(path):
+    """(number of the first line, lines) of each piece of CHUNK_ROWS lines of the file.
 
-    A piece ends right after a newline, which is always a line boundary
-    for str.splitlines, so the pieces' lines are ``text.splitlines()``.
+    A piece ends right after b"\\n", which no UTF-8 sequence holds and where
+    str.splitlines always ends a line, so the pieces' lines are the whole text's.
+    A piece that is not UTF-8 yields its lines before the bad one, then raises.
     """
-    width = CHUNK_ROWS * len(text) // (text.count("\n") + 1)
-    start, first = 0, 1
-    while start < len(text):
-        end = text.find("\n", start + width) + 1 or len(text)
-        lines = text[start:end].splitlines()
-        yield first, lines
-        start, first = end, first + len(lines)
+    first = 1
+    with open(path, "rb") as fh:
+        while piece := b"".join(itertools.islice(fh, CHUNK_ROWS)):
+            try:
+                lines = piece.decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                lines = (piece[: exc.start].decode("utf-8") + "-").splitlines()[:-1]
+                if lines:
+                    yield first, lines
+                raise ValueError(f"{path}:{first + len(lines)}: not UTF-8 ({exc.reason})") from None
+            yield first, lines
+            first += len(lines)
 
 
 def _parse_lines(lines: list[str], dim: int, labeled: bool, classes: int | None):
@@ -220,25 +228,17 @@ def _parse_rows(path, lines: list[str], first: int, dim: int, labeled: bool, cla
 
 
 def load_csv(path, classes: int | None = None) -> ExampleSet:
-    """Parse a dataset CSV; malformed input raises with the line number.
+    """Parse a dataset CSV CHUNK_ROWS lines at a time; malformed input raises naming its first bad line.
 
-    With ``classes`` given, a label >= ``classes`` is malformed too. The
-    file is decoded once, then parsed in pieces of about CHUNK_ROWS lines.
+    With ``classes`` given, a label >= ``classes`` is malformed too.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:  # read() decodes the whole file, so exc.object is all of it
-        # numbered the way str.splitlines numbers every other message's line
-        line = len((exc.object[: exc.start].decode("utf-8") + "-").splitlines())
-        raise ValueError(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
-    pieces = _pieces(text)
-    _, lines = next(pieces, (1, []))
-    if not lines or not lines[0].strip():
-        raise ValueError(f"{path}:1: missing header")
-    dim, labeled = _parse_header(lines[0], path)
-    parsed = [_parse_rows(path, lines[1:], 2, dim, labeled, classes)]
-    parsed += [_parse_rows(path, lines, first, dim, labeled, classes) for first, lines in pieces]
+    with contextlib.closing(_pieces(path)) as pieces:
+        _, lines = next(pieces, (1, []))
+        if not lines or not lines[0].strip():
+            raise ValueError(f"{path}:1: missing header")
+        dim, labeled = _parse_header(lines[0], path)
+        parsed = [_parse_rows(path, lines[1:], 2, dim, labeled, classes)]
+        parsed += [_parse_rows(path, lines, first, dim, labeled, classes) for first, lines in pieces]
     features = np.concatenate([f for f, _ in parsed])
     return ExampleSet(features, np.concatenate([k for _, k in parsed]) if labeled else None)
 

@@ -479,9 +479,11 @@ INPUT_DEFECTS = [
     ("eval", "in_test.csv", ("missing", "header-only", "wide")),
     ("eval", "shifted_test.csv", ("missing", "header-only", "wide", "unlabeled", "label-range")),
     ("eval", "far_ood.csv", ("missing", "header-only", "wide", "narrow")),
-    ("screen", "input.csv", ("missing", "header-only", "wide", "late-row", "huge-label")),
+    ("screen", "input.csv", (
+        "missing", "header-only", "wide", "late-row", "late-utf8", "huge-label", "huge-width",
+    )),
     ("screen", "in_val.csv", ("missing", "header-only", "wide")),
-    ("plot", "input.csv", ("missing", "header-only", "wide", "huge-label")),
+    ("plot", "input.csv", ("missing", "header-only", "wide", "huge-label", "huge-width")),
 ]
 
 
@@ -509,7 +511,11 @@ def test_cli_refuses_bad_input_before_writing(experiment, tmp_path, capsys, comm
             "huge-label": f"features:2,label:1\n0.0,1.0,0\n0.5,0.5,{2**63}\n",
             # past the first piece load_csv parses
             "late-row": header + "\n" + f"0.5,0.5{label}\n" * 9000 + f"0.5,x{label}\n",
-        }[defect])
+            # the byte 0xff, past the first piece load_csv reads
+            "late-utf8": header + "\n" + f"0.5,0.5{label}\n" * 9000 + f"0.5,\udcff{label}\n",
+            # a row of that many float64 values overflows numpy's size type
+            "huge-width": f"features:{2**62},{header.split(',')[1]}\n",
+        }[defect], errors="surrogateescape")
     expect = f"{tmp_path / 'in_train.csv'} has" if command == "train" else "checkpoints expect"
     message = {
         "missing": f"missing dataset file {path}",
@@ -521,6 +527,8 @@ def test_cli_refuses_bad_input_before_writing(experiment, tmp_path, capsys, comm
         "huge-label": f"{path}:3: label {2**63} >= 3 classes" if command == "train"
         else f"{path}:3: label must be < 2**63",
         "late-row": f"{path}:9002: non-numeric feature",
+        "late-utf8": f"{path}:9002: not UTF-8 (invalid start byte)",
+        "huge-width": f"{path}:1: malformed header counts",
     }[defect]
     argv = {
         "train": ["train", "--config", experiment["cfg"], "--role", "classifier"],

@@ -145,6 +145,19 @@ def test_csv_parse_errors_name_lines(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("dim", [2**60, 2**62, 10**23])
+def test_csv_header_width_past_numpy_is_refused(tmp_path, dim):
+    """A feature count whose float64 row overflows numpy's size type is a malformed header."""
+    path = tmp_path / "wide.csv"
+    path.write_text(f"features:{dim},label:0\n")
+    with pytest.raises(ValueError) as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}:1: malformed header counts"
+    # the widest row numpy can shape still loads
+    path.write_text(f"features:{2**60 - 1},label:0\n")
+    assert load_csv(path).features.shape == (0, 2**60 - 1)
+
+
 def test_save_csv_exact_bytes(tmp_path):
     path = tmp_path / "b.csv"
     save_csv(path, ExampleSet(np.array([[-0.0, 1e-320], [0.1, 2.0]]), np.array([0, 3])))
@@ -247,7 +260,10 @@ def damage(row: str, how: str, dim: int, column: int) -> str:
     return ",".join(fields)
 
 
-line_endings = st.sampled_from(["\n", "\r\n", "\r"])
+# every line boundary of str.splitlines
+line_endings = st.sampled_from(
+    ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -308,8 +324,12 @@ def whole_file_raise_first_error(path, lines, dim, labeled, classes):
 
 
 def whole_file_load_csv(path, classes=None):
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    raw = Path(path).read_bytes()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = len((raw[: exc.start].decode("utf-8") + "-").splitlines())
+        raise ValueError(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
     if not lines or not lines[0].strip():
         raise ValueError(f"{path}:1: missing header")
     dim, labeled = datamod._parse_header(lines[0], path)
@@ -358,7 +378,8 @@ def test_chunked_csv_io_matches_whole_file(data):
     """With pieces of a few rows, files cross many piece edges: same bytes, arrays and errors."""
     examples = data.draw(example_sets(max_rows=40))
     blanks = data.draw(blank_lines)
-    ending = data.draw(line_endings)
+    # mixed, so pieces cut at b"\n" hold lines ended by every other boundary
+    endings = data.draw(st.lists(line_endings, min_size=1, max_size=8))
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         datamod, "CHUNK_ROWS", data.draw(st.integers(1, 4))
     ):
@@ -371,13 +392,14 @@ def test_chunked_csv_io_matches_whole_file(data):
         header, *rows = path.read_text().splitlines()
         if rows and data.draw(st.booleans()):
             labeled = examples.labels is not None
-            # not the UTF-8 one, nor a label past int64: the whole-file code raises OverflowError on it
-            kinds = [k for k in corruptions(examples.dim + labeled, labeled)[:-1] if k[0] != HUGE_LABEL]
+            # not a label past int64: the whole-file code raises OverflowError on it
+            kinds = [k for k in corruptions(examples.dim + labeled, labeled) if k[0] != HUGE_LABEL]
             i = data.draw(st.integers(0, len(rows) - 1))
             how = data.draw(st.sampled_from([how for how, _ in kinds]))
             rows[i] = damage(rows[i], how, examples.dim, data.draw(st.integers(0, examples.dim - 1)))
-        text = with_blank_lines("\n".join([header, *rows]), blanks)[0]
-        path.write_bytes(text.replace("\n", ending).encode())
+        lines = with_blank_lines("\n".join([header, *rows]), blanks)[0].split("\n")[:-1]
+        text = "".join(line + endings[n % len(endings)] for n, line in enumerate(lines))
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         got, want = load_or_error(load_csv, path), load_or_error(whole_file_load_csv, path)
     if isinstance(want, str):
         assert got == want
@@ -388,6 +410,37 @@ def test_chunked_csv_io_matches_whole_file(data):
         assert got.labels is None
     else:
         assert got.labels.tobytes() == want.labels.tobytes()
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_csv_earlier_of_two_defects_is_named(data):
+    """A malformed row and a non-UTF-8 byte, in either order: the earlier is named at any CHUNK_ROWS."""
+    examples = data.draw(example_sets(max_rows=40).filter(lambda e: len(e) >= 2))
+    labeled = examples.labels is not None
+    dim, want = examples.dim, examples.dim + labeled
+    bad, utf8 = data.draw(st.permutations(range(len(examples))))[:2]
+    how, message = data.draw(st.sampled_from(corruptions(want, labeled)[:-1]))
+    blanks = data.draw(blank_lines)
+    ending = data.draw(line_endings)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        save_csv(path, examples)
+        header, *rows = path.read_text().splitlines()
+        rows[bad] = damage(rows[bad], how, dim, data.draw(st.integers(0, dim - 1)))
+        rows[utf8] = damage(rows[utf8], "\udcff", dim, data.draw(st.integers(0, dim - 1)))
+        text, numbers = with_blank_lines("\n".join([header, *rows]), blanks)
+        path.write_bytes(text.replace("\n", ending).encode("utf-8", "surrogateescape"))
+        if bad < utf8:
+            reason = message.format(want=want, more=want + 1, less=want - 1)
+            expected = f"{path}:{numbers[bad]}: {reason}"
+        else:
+            expected = f"{path}:{numbers[utf8]}: not UTF-8 (invalid start byte)"
+        got = [load_or_error(load_csv, path)]
+        for rows_per_piece in range(1, 5):
+            with mock.patch.object(datamod, "CHUNK_ROWS", rows_per_piece):
+                got.append(load_or_error(load_csv, path))
+    assert got == [expected] * 5
 
 
 # lines that break two rules, and pairs of lines where the later one breaks an earlier rule
@@ -426,6 +479,42 @@ def test_save_csv_memory_stays_flat(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20, peak
+
+
+def test_load_csv_memory_holds_one_piece(tmp_path):
+    """The traced peak of reading 100k labeled rows: about 6.1 MiB, where a whole-file decode took 9.9."""
+    path = tmp_path / "big.csv"
+    examples = ExampleSet(np.random.default_rng(3).normal(0, 6, (100_000, 2)), np.arange(100_000) % 3)
+    save_csv(path, examples)
+    tracemalloc.start()
+    try:
+        load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
+@pytest.mark.parametrize("row", ["0.5", "x"])
+def test_load_csv_closes_the_file(tmp_path, row):
+    """Closed when load_csv returns, and while the refusal of a row in a later piece is held."""
+    path = tmp_path / "data.csv"
+    path.write_text("features:1,label:0\n" + "0.5\n" * 9 + f"{row}\n" + "0.5\n" * 9)
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    with mock.patch.object(datamod, "open", recording_open, create=True), mock.patch.object(
+        datamod, "CHUNK_ROWS", 2
+    ):
+        try:
+            load_csv(path)
+        except ValueError as exc:
+            assert str(exc) == f"{path}:11: non-numeric feature"
+            assert [fh.closed for fh in opened] == [True]
+    assert [fh.closed for fh in opened] == [True]
 
 
 def test_csv_missing_file():
