@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from . import data, network, pipeline, training
+from . import data, dirichlet, network, pipeline, training
 
 
 def _fmt(x: float) -> str:
@@ -116,26 +117,31 @@ def cmd_train(cfg: cfgmod.ExperimentConfig, role_name: str, out: Path) -> int:
 
 
 _ModelPair = tuple[network.FeedForwardModel, network.FeedForwardModel]  # classifier, detector
-_Digests = tuple[str | None, str | None]  # SHA-256 of the classifier and detector checkpoints
-
-# the last pair _load_model_pair built, keyed by the digests of the bytes it was built from
-_last_pair: tuple[_Digests, _ModelPair] | None = None
 
 
-def _load_model_pair(paths: list[str]) -> tuple[_ModelPair, _Digests]:
+def _load_model_pair(paths: list[str]) -> tuple[_ModelPair, tuple[str, str]]:
     """Both models, and the SHA-256 digests of the checkpoint files they come from.
 
-    Each checkpoint is read and hashed once. When both digests, in order,
-    are those of the last pair built, that pair is returned without being
-    parsed again; cli never changes a model it loaded. Otherwise both are
-    loaded by network.load_checkpoint and must agree on input and class count.
+    Each checkpoint is read and hashed once; an unreadable one raises the
+    OSError that network.load_checkpoint would. The pair comes from
+    _build_pair, so the bytes of the last pair built are not parsed again.
     """
-    global _last_pair
     if len(paths) != 2:
         raise ValueError("expected two --checkpoint flags: classifier first, detector second")
-    digests = (_sha256(paths[0]), _sha256(paths[1]))
-    if _last_pair is not None and _last_pair[0] == digests and None not in digests:
-        return _last_pair[1], digests
+    digests = []
+    for path in paths:
+        with open(path, "rb") as fh:
+            digests.append(hashlib.sha256(fh.read()).hexdigest())
+    return _build_pair(tuple(paths), tuple(digests)), tuple(digests)
+
+
+@functools.lru_cache(maxsize=1)
+def _build_pair(paths: tuple[str, str], digests: tuple[str, str]) -> _ModelPair:
+    """Both models, loaded by network.load_checkpoint; they must agree on input and class count.
+
+    ``digests`` is part of the cache key only: a pair is reused while its
+    paths hold the same bytes. cli never changes a model it loaded.
+    """
     classifier = network.load_checkpoint(paths[0])
     detector = network.load_checkpoint(paths[1])
     if classifier.layer_sizes[0] != detector.layer_sizes[0] or (
@@ -145,17 +151,7 @@ def _load_model_pair(paths: list[str]) -> tuple[_ModelPair, _Digests]:
             f"checkpoints disagree on input or class count: classifier {paths[0]} has layer_sizes "
             f"{list(classifier.layer_sizes)}, detector {paths[1]} has {list(detector.layer_sizes)}"
         )
-    _last_pair = digests, (classifier, detector)
-    return (classifier, detector), digests
-
-
-def _calibrated_thresholds(
-    cfg: cfgmod.ExperimentConfig, val: pipeline.ScreenScores
-) -> pipeline.ScreeningThresholds:
-    return pipeline.ScreeningThresholds(
-        tau_d=pipeline.calibrate_threshold(val.s_d, cfg.screening.drop_fraction_detector),
-        tau_c=pipeline.calibrate_threshold(val.s_c, cfg.screening.drop_fraction_classifier),
-    )
+    return classifier, detector
 
 
 _THRESHOLDS_FILE = "thresholds.json"
@@ -177,7 +173,7 @@ class _StoredThresholds:
 
 
 def _sha256(path) -> str | None:
-    """The file's SHA-256 hex digest; None if it cannot be read, which matches no stored digest.
+    """in_val.csv's SHA-256 hex digest; None if it cannot be read, which matches no stored digest.
 
     The read that follows a None refuses the file with its own message.
     """
@@ -188,7 +184,7 @@ def _sha256(path) -> str | None:
         return None
 
 
-def _calibration_inputs(cfg: cfgmod.ExperimentConfig, digests: _Digests, val_path: Path) -> dict:
+def _calibration_inputs(cfg: cfgmod.ExperimentConfig, digests: tuple[str, str], val_path: Path) -> dict:
     """The thresholds.json fields that must all match for its thresholds to be reused."""
     return {
         "classifier_sha256": digests[0],
@@ -200,11 +196,17 @@ def _calibration_inputs(cfg: cfgmod.ExperimentConfig, digests: _Digests, val_pat
     }
 
 
-def _write_thresholds(
-    path: Path, inputs: dict, val_rows: int, thresholds: pipeline.ScreeningThresholds
-) -> None:
-    stored = _StoredThresholds(**inputs, in_val_rows=val_rows, **dataclasses.asdict(thresholds))
+def _calibrate(
+    cfg: cfgmod.ExperimentConfig, inputs: dict, val: pipeline.ScreenScores, path: Path
+) -> pipeline.ScreeningThresholds:
+    """Both thresholds from the in_val.csv scores ``val``, written to ``path`` with ``inputs``."""
+    thresholds = pipeline.ScreeningThresholds(
+        tau_d=pipeline.calibrate_threshold(val.s_d, cfg.screening.drop_fraction_detector),
+        tau_c=pipeline.calibrate_threshold(val.s_c, cfg.screening.drop_fraction_classifier),
+    )
+    stored = _StoredThresholds(**inputs, in_val_rows=len(val.s_d), **dataclasses.asdict(thresholds))
     cfgmod.write_json(path, dataclasses.asdict(stored))
+    return thresholds
 
 
 def _screen_scores(models: _ModelPair, ckpts: list[str], path, features) -> pipeline.ScreenScores:
@@ -217,7 +219,7 @@ def _screen_scores(models: _ModelPair, ckpts: list[str], path, features) -> pipe
 
 
 def _screening_thresholds(
-    cfg: cfgmod.ExperimentConfig, ckpts: list[str], models: _ModelPair, digests: _Digests, out: Path
+    cfg: cfgmod.ExperimentConfig, ckpts: list[str], models: _ModelPair, digests: tuple[str, str], out: Path
 ) -> pipeline.ScreeningThresholds:
     """Stored thresholds while thresholds.json matches; else calibrate and rewrite it."""
     val_path = out / "in_val.csv"
@@ -227,11 +229,7 @@ def _screening_thresholds(
     if stored is not None and all(getattr(stored, key) == value for key, value in inputs.items()):
         return pipeline.ScreeningThresholds(tau_d=stored.tau_d, tau_c=stored.tau_c)
     val_set = _load_rows(val_path, models[0].layer_sizes[0], what="validation rows")
-    thresholds = _calibrated_thresholds(
-        cfg, _screen_scores(models, ckpts, val_path, val_set.features)
-    )
-    _write_thresholds(path, inputs, len(val_set), thresholds)
-    return thresholds
+    return _calibrate(cfg, inputs, _screen_scores(models, ckpts, val_path, val_set.features), path)
 
 
 _OUTCOME_NAMES = [o.value for o in pipeline.Outcome]
@@ -307,19 +305,18 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
     }
     s_val = scores["in_val"].s_d
 
-    thresholds = _calibrated_thresholds(cfg, scores["in_val"])
     inputs = _calibration_inputs(cfg, digests, out / "in_val.csv")
-    _write_thresholds(out / _THRESHOLDS_FILE, inputs, len(sets["in_val"]), thresholds)
+    thresholds = _calibrate(cfg, inputs, scores["in_val"], out / _THRESHOLDS_FILE)
     _write_decisions(out / "scores.csv", thresholds, [
         (f"{name}/", scores[name]) for name in ("in_test", "shifted_test", "far_ood")
     ])
 
-    rate_lines = []
-    for name in ("shifted_test", "far_ood"):
-        for p in cfg.evaluation.drop_fractions:
-            tau = pipeline.calibrate_threshold(s_val, p)
-            rate = pipeline.ood_detection_rate(scores[name].s_d, tau)
-            rate_lines.append(f"{name},{_fmt(p)},{_fmt(rate)}")
+    # a list, not a dict: each drop fraction, repeated or not, keeps its line
+    taus = [(p, pipeline.calibrate_threshold(s_val, p)) for p in cfg.evaluation.drop_fractions]
+    rate_lines = [
+        f"{name},{_fmt(p)},{_fmt(pipeline.ood_detection_rate(scores[name].s_d, tau))}"
+        for name in ("shifted_test", "far_ood") for p, tau in taus
+    ]
     _write_lines(out / "detection_rates.csv", ["dataset,drop_fraction,detection_rate"] + rate_lines)
 
     shifted = scores["shifted_test"]
@@ -345,10 +342,11 @@ def cmd_plot(ckpt: str, input_path: str, out: Path, resolution: int) -> int:
             f"{ckpt}: density grids need a 3-class model, found {model.num_classes} classes"
         )
     examples = _load_rows(input_path, model.layer_sizes[0])
-    from .dirichlet import density_grid, logits_to_alpha
-
-    params = logits_to_alpha(network.forward(model, examples.features[0]))
-    points, densities = density_grid(params, resolution)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = network.forward(model, examples.features[0])
+    if not np.isfinite(logits).all():
+        raise ValueError(f"{ckpt}: non-finite logits on {input_path}")
+    points, densities = dirichlet.density_grid(dirichlet.logits_to_alpha(logits), resolution)
     out.mkdir(parents=True, exist_ok=True)
     lines = [
         f"{_fmt(mu[0])},{_fmt(mu[1])},{_fmt(mu[2])},{_fmt(d)}"

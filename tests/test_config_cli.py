@@ -8,7 +8,7 @@ import operator
 import re
 import tempfile
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -575,26 +575,30 @@ def test_train_refuses_parameters_whose_logits_overflow(experiment, tmp_path, ca
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-@pytest.mark.parametrize("command", ["screen", "eval"])
+@pytest.mark.parametrize("command", ["screen", "eval", "plot"])
 @pytest.mark.parametrize("role", ["classifier", "detector"])
 def test_cli_refuses_checkpoint_whose_logits_overflow(experiment, tmp_path, capsys, command, role):
     """Finite but huge parameters: exit 1 naming the checkpoint and the data file, no file
-    created or changed, and no numpy warning (the suite makes those errors)."""
+    or --out directory created or changed, and no numpy warning (the suite makes those errors)."""
     ckpts = copy_run(experiment, tmp_path)
-    model = load_checkpoint(tmp_path / f"{role}.ckpt")
+    ckpt = tmp_path / f"{role}.ckpt"
+    model = load_checkpoint(ckpt)
     model.params *= 1e150
-    save_checkpoint(model, tmp_path / f"{role}.ckpt")
-    # screen scores its --input first; eval scores in_val.csv first
-    scored = "shifted_test.csv" if command == "screen" else "in_val.csv"
+    save_checkpoint(model, ckpt)
+    # screen and plot score their --input first; eval scores in_val.csv first
+    scored = "in_val.csv" if command == "eval" else "shifted_test.csv"
     argv = {
         "screen": screen_argv(experiment["cfg"], ckpts, tmp_path),
         "eval": ["eval", "--config", experiment["cfg"], *ckpts, "--out", str(tmp_path)],
+        "plot": ["plot", "--checkpoint", str(ckpt), "--input", str(tmp_path / scored),
+                 "--out", str(tmp_path / "plot")],
     }[command]
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     capsys.readouterr()
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {tmp_path / f'{role}.ckpt'}: non-finite logits on {tmp_path / scored}\n"
+    assert err == f"error: {ckpt}: non-finite logits on {tmp_path / scored}\n"
+    assert not (tmp_path / "plot").exists()
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -752,6 +756,80 @@ def test_screen_refuses_malformed_thresholds_file(experiment, tmp_path, capsys, 
     assert cli.main(screen) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {message}"), err
+
+
+# what a byte edit of thresholds.json may insert: any bytes, or one of these
+THRESHOLDS_BYTES = [b"NaN", b"-Infinity", b"nan", b"inf", b"1e999", b"9" * 5000, b"\xef\xbb\xbf", b"\x00", b"\r"]
+# what may replace the value of one key
+THRESHOLDS_VALUES = [
+    b"NaN", b"Infinity", b"-Infinity", b"1e999", b"-1e999", str(2**63).encode(), str(10**308).encode(),
+    str(10**309).encode(), b"-" + b"9" * 5000, b'"0.1"', b"null", b"[]", b"true", b"0",
+]
+byte_edit = st.tuples(
+    st.integers(0, 2**12),  # where, taken modulo the file's length plus one
+    st.integers(0, 8),  # how many bytes it removes
+    st.one_of(st.binary(max_size=8), st.sampled_from(THRESHOLDS_BYTES)),  # what it inserts
+)
+value_edit = st.tuples(
+    st.sampled_from([f.name for f in dataclasses.fields(cli._StoredThresholds)]),
+    st.sampled_from(THRESHOLDS_VALUES),
+)
+
+
+@pytest.fixture(scope="module")
+def warm_screen(experiment, tmp_path_factory):
+    """A copy of the run after one cold screen: its argv, its thresholds.json and that file's bytes."""
+    out = tmp_path_factory.mktemp("warm")
+    argv = screen_argv(experiment["cfg"], copy_run(experiment, out), out)
+    assert run_cli(argv)[0] == 0
+    return argv, out / "thresholds.json", (out / "thresholds.json").read_bytes()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(st.one_of(byte_edit, value_edit), min_size=1, max_size=3))
+def test_screen_survives_any_thresholds_file(warm_screen, edits):
+    """screen on an edited thresholds.json: exit 0, or exit 1 naming the file with no file
+    created or changed; never an uncaught exception."""
+    argv, path, raw = warm_screen
+    for edit in edits:
+        if isinstance(edit[0], int):
+            where, removed, inserted = edit
+            where %= len(raw) + 1
+            raw = raw[:where] + inserted + raw[where + removed:]
+        else:
+            key, value = edit
+            raw = re.sub(rb'("%s": )[^,\n]*' % key.encode(), lambda m: m[1] + value, raw)
+    path.write_bytes(raw)
+    before = {p.name: p.read_bytes() for p in path.parent.iterdir()}
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (0, 1)
+    if rc == 1:
+        assert err.getvalue().startswith(f"error: {path}: "), err.getvalue()
+        assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == before
+    else:
+        assert err.getvalue() == ""
+
+
+@pytest.mark.parametrize("role", ["classifier", "detector"])
+@pytest.mark.parametrize("gone", ["removed", "directory"])
+def test_screen_refuses_a_checkpoint_gone_after_a_warm_screen(experiment, tmp_path, capsys, role, gone):
+    """The pair built by the warm screens is not served once a checkpoint cannot be read."""
+    ckpts = copy_run(experiment, tmp_path)
+    screen = screen_argv(experiment["cfg"], ckpts, tmp_path)
+    for _ in range(2):
+        assert cli.main(screen) == 0
+    path = tmp_path / f"{role}.ckpt"
+    path.unlink()
+    if gone == "directory":
+        path.mkdir()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    capsys.readouterr()
+    assert cli.main(screen) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: \[Errno \d+\] [^:]+: '{re.escape(str(path))}'\n", err), err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
 def test_screen_without_validation_file_fails_cold_and_warm(experiment, tmp_path, capsys):
