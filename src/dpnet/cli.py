@@ -19,16 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from . import data, dirichlet, network, pipeline, training
+from . import _atomic, data, dirichlet, network, pipeline, training
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def _write_lines(path: Path, lines: list[str]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _load_rows(
@@ -122,9 +117,9 @@ _ModelPair = tuple[network.FeedForwardModel, network.FeedForwardModel]  # classi
 def _load_model_pair(paths: list[str]) -> tuple[_ModelPair, tuple[str, str]]:
     """Both models, and the SHA-256 digests of the checkpoint files they come from.
 
-    Each checkpoint is read and hashed once; an unreadable one raises the
+    Each checkpoint is read and hashed here; an unreadable one raises the
     OSError that network.load_checkpoint would. The pair comes from
-    _build_pair, so the bytes of the last pair built are not parsed again.
+    _build_pair, which reads the files again unless they hold the last pair's bytes.
     """
     if len(paths) != 2:
         raise ValueError("expected two --checkpoint flags: classifier first, detector second")
@@ -246,8 +241,8 @@ def _write_decisions(
     """
     routed = [pipeline.route_decision(s.s_d, s.s_c, thresholds, s.predicted) for _, s in parts]
     counts = np.zeros(len(_OUTCOME_NAMES), dtype=np.int64)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("id,s_d,s_c,outcome,predicted_class\n")
+    with _atomic.write(path) as fh:
+        fh.write(b"id,s_d,s_c,outcome,predicted_class\n")
         for (prefix, scores), (outcome, predicted) in zip(parts, routed):
             for i in range(0, len(outcome), data.CHUNK_ROWS):
                 rows = slice(i, i + data.CHUNK_ROWS)
@@ -256,7 +251,7 @@ def _write_decisions(
                 fh.write("".join([
                     f"{prefix}{j},{d!r},{c!r},{_OUTCOME_NAMES[o]},{'' if k < 0 else k}\n"
                     for j, d, c, o, k in zip(itertools.count(i), *(col.tolist() for col in columns))
-                ]))
+                ]).encode())
             counts += np.bincount(outcome, minlength=len(_OUTCOME_NAMES))
     return counts.tolist()
 
@@ -317,7 +312,8 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
         f"{name},{_fmt(p)},{_fmt(pipeline.ood_detection_rate(scores[name].s_d, tau))}"
         for name in ("shifted_test", "far_ood") for p, tau in taus
     ]
-    _write_lines(out / "detection_rates.csv", ["dataset,drop_fraction,detection_rate"] + rate_lines)
+    with _atomic.write(out / "detection_rates.csv") as fh:
+        fh.write(("\n".join(["dataset,drop_fraction,detection_rate"] + rate_lines) + "\n").encode())
 
     shifted = scores["shifted_test"]
     rows = pipeline.discard_and_rescore(
@@ -328,7 +324,8 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
         (0.0, *cfg.evaluation.drop_fractions),
     )
     rescore_lines = [f"{_fmt(r.drop_fraction)},{r.retained},{_fmt(r.auroc)}" for r in rows]
-    _write_lines(out / "rescore_auroc.csv", ["drop_fraction,retained,auroc"] + rescore_lines)
+    with _atomic.write(out / "rescore_auroc.csv") as fh:
+        fh.write(("\n".join(["drop_fraction,retained,auroc"] + rescore_lines) + "\n").encode())
 
     for name in ("scores.csv", "detection_rates.csv", "rescore_auroc.csv"):
         print(f"wrote {out / name}")
@@ -352,7 +349,8 @@ def cmd_plot(ckpt: str, input_path: str, out: Path, resolution: int) -> int:
         f"{_fmt(mu[0])},{_fmt(mu[1])},{_fmt(mu[2])},{_fmt(d)}"
         for mu, d in zip(points, densities)
     ]
-    _write_lines(out / "density_grid.csv", ["mu1,mu2,mu3,density"] + lines)
+    with _atomic.write(out / "density_grid.csv") as fh:
+        fh.write(("\n".join(["mu1,mu2,mu3,density"] + lines) + "\n").encode())
     print(f"wrote {out / 'density_grid.csv'} ({len(lines)} lattice points)")
     return 0
 

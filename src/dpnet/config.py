@@ -10,13 +10,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import os
 import sys
 import typing
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from . import losses, network, training
+from . import _atomic, losses, network, training
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -288,9 +286,13 @@ _JSON_CACHE_SIZE = 8
 @functools.lru_cache(maxsize=_JSON_CACHE_SIZE)
 def _build_json(raw: bytes, build, *args):
     """build(*args, value) for the JSON value in raw; a call that raises is not kept."""
-    # universal newlines, as a text-mode read gives, so error positions count the same characters
-    text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    return build(*args, json.loads(text))
+    try:  # universal newlines, as a text-mode read gives, so error positions count the same characters
+        value = json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+    except ValueError:  # int() refuses a literal past the digit limit, advising a Python call
+        raise ValueError(f"invalid JSON: an integer of more than {sys.get_int_max_str_digits()} digits") from None
+    return build(*args, value)
 
 
 def _load_json(path, build, *args):
@@ -304,8 +306,6 @@ def _load_json(path, build, *args):
         raw = fh.read()
     try:
         return _build_json(raw, build, *args)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -316,24 +316,9 @@ def read_json(path, cls):
 
 
 def write_json(path, blob) -> None:
-    """Write blob to path as JSON with sorted keys, indent 2 and a trailing newline.
-
-    The bytes go to a temp file beside path, which is fsynced and then
-    renamed over it: a reader sees the old file or the new one, never a
-    part. On failure the temp file is removed and the old file is unchanged.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(blob, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write blob to path as JSON with sorted keys, indent 2 and a trailing newline, by _atomic.write."""
+    with _atomic.write(path) as fh:
+        fh.write(json.dumps(blob, indent=2, sort_keys=True).encode() + b"\n")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _atomic
+
 __all__ = [
     "CLUSTER_RADIUS",
     "RING_RADIUS",
@@ -119,14 +121,14 @@ def save_csv(path, examples: ExampleSet) -> None:
     Floats are written with repr so a load round-trips bit-identically.
     """
     labeled = examples.labels is not None
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"features:{examples.dim},label:{int(labeled)}\n")
+    with _atomic.write(path) as fh:
+        fh.write(f"features:{examples.dim},label:{int(labeled)}\n".encode())
         for i in range(0, len(examples), CHUNK_ROWS):
             rows = [",".join(map(repr, row)) for row in examples.features[i : i + CHUNK_ROWS].tolist()]
             if labeled:
                 labels = examples.labels[i : i + CHUNK_ROWS].tolist()
                 rows = [f"{row},{label}" for row, label in zip(rows, labels)]
-            fh.write("\n".join(rows) + "\n")
+            fh.write(("\n".join(rows) + "\n").encode())
 
 
 def _parse_header(line: str, path) -> tuple[int, bool]:

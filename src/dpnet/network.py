@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _atomic
+
 __all__ = [
     "CHECKPOINT_MAGIC",
     "FeedForwardModel",
@@ -193,7 +195,7 @@ def save_checkpoint(model: FeedForwardModel, path) -> None:
     header = "\n".join(
         [CHECKPOINT_MAGIC, ",".join(str(s) for s in model.layer_sizes), model.activation]
     )
-    with open(path, "wb") as fh:
+    with _atomic.write(path) as fh:
         fh.write(header.encode("ascii") + b"\n" + model.params.astype("<f8").tobytes())
 
 

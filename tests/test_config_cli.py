@@ -1,11 +1,17 @@
+import contextlib
 import dataclasses
+import errno
 import functools
 import hashlib
 import io
 import json
 import math
 import operator
+import os
 import re
+import resource
+import signal
+import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -18,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dpnet import cli, config, data, network, pipeline
+from dpnet import cli, config, data, dirichlet, network, pipeline
 from dpnet.config import (
     SCHEMA_VERSION,
     DatasetConfig,
@@ -143,22 +149,94 @@ def test_config_errors_name_the_key_path(tmp_path):
         assert str(refused.value) == f"{file}: {message}"
 
 
-def test_write_json_replaces_the_file_whole(tmp_path):
-    path = tmp_path / "blob.json"
-    blob = {"b": [1, 2.5, None], "a": {"z": "x", "y": True}}
-    write_json(path, blob)
-    assert path.read_text() == json.dumps(blob, indent=2, sort_keys=True) + "\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["blob.json"]
-    # the umask-default mode, like every other artifact
-    (tmp_path / "plain").write_text("")
-    assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
-    (tmp_path / "plain").unlink()
+BLOB = {"b": [1, 2.5, None], "a": {"z": "x", "y": True}}
 
-    written = path.read_bytes()
-    with pytest.raises(TypeError):
-        write_json(path, {"a": 1, "b": {2}})  # the dump fails at the set, after "a"
-    assert path.read_bytes() == written
-    assert [p.name for p in tmp_path.iterdir()] == ["blob.json"]
+
+def writer_cases(src: Path) -> dict:
+    """For each artifact writer: the file name it writes, a call that writes it into a directory,
+    and the bytes it must write. ``plot`` stands for the CSVs written whole by eval and plot."""
+    examples = ExampleSet(np.array([[0.5, -1.25], [3.0, 1e-300]]), np.array([1, 0]))
+    model = init_model((2, 4, 3), 3, "relu")
+    save_csv(src / "input.csv", examples)
+    save_checkpoint(model, src / "model.ckpt")
+    thresholds = pipeline.ScreeningThresholds(tau_d=0.5, tau_c=1.0)
+    scores = pipeline.ScreenScores(np.array([0.25, 0.75, 0.0]), np.array([0.5, 0.5, 2.0]), np.array([1, 2, 0]), None)
+    alpha = dirichlet.logits_to_alpha(network.forward(model, examples.features[0]))
+    grid = [",".join(map(repr, [*mu, d])) for mu, d in zip(*(a.tolist() for a in dirichlet.density_grid(alpha, 4)))]
+    return {
+        "save_csv": (
+            "data.csv", lambda out: save_csv(out / "data.csv", examples),
+            b"features:2,label:1\n0.5,-1.25,1\n3.0,1e-300,0\n",
+        ),
+        "save_checkpoint": (
+            "model.ckpt", lambda out: save_checkpoint(model, out / "model.ckpt"),
+            b"dpnet-v1\n2,4,3\nrelu\n" + model.params.astype("<f8").tobytes(),
+        ),
+        "write_json": (
+            "blob.json", lambda out: write_json(out / "blob.json", BLOB),
+            json.dumps(BLOB, indent=2, sort_keys=True).encode() + b"\n",
+        ),
+        "_write_decisions": (
+            "decisions.csv", lambda out: cli._write_decisions(out / "decisions.csv", thresholds, [("a/", scores)]),
+            b"id,s_d,s_c,outcome,predicted_class\na/0,0.25,0.5,trusted,1\na/1,0.75,0.5,human_review,2\n"
+            b"a/2,0.0,2.0,discard,\n",
+        ),
+        "plot": (
+            "density_grid.csv", lambda out: cli.cmd_plot(str(src / "model.ckpt"), str(src / "input.csv"), out, 4),
+            "\n".join(["mu1,mu2,mu3,density", *grid, ""]).encode(),
+        ),
+    }
+
+
+@contextlib.contextmanager
+def disk_full_after(size: int):
+    """Writes past ``size`` bytes of any file fail with EFBIG, as on a full disk (this process only)."""
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (size, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+
+
+@pytest.mark.parametrize("writer", ["save_csv", "save_checkpoint", "write_json", "_write_decisions", "plot"])
+def test_every_writer_replaces_the_file_whole(tmp_path, capsys, writer):
+    """Each writer's bytes are the only file in the directory, at the umask's mode. A rewrite
+    replaces a chmod-ed file or a symlink, and a write that fails part way, at fsync or at the
+    rename leaves the old bytes and no temp file. capsys keeps plot's output in memory, out of
+    reach of the file size limit."""
+    src, out = tmp_path / "src", tmp_path / "out"
+    src.mkdir()
+    out.mkdir()
+    name, write, expected = writer_cases(src)[writer]
+    path = out / name
+    (src / "plain").write_bytes(b"")
+    umask_mode = (src / "plain").stat().st_mode
+    write(out)
+    assert path.read_bytes() == expected
+    assert [p.name for p in out.iterdir()] == [name]
+    assert path.stat().st_mode == umask_mode
+
+    path.chmod(0o600)
+    write(out)
+    assert path.stat().st_mode == umask_mode
+    path.unlink()
+    path.symlink_to(src / "plain")
+    write(out)
+    assert not path.is_symlink() and path.read_bytes() == expected
+    assert (src / "plain").read_bytes() == b""
+
+    def no_space(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    for failure in [disk_full_after(8), *(mock.patch.object(os, call, no_space) for call in ("fsync", "replace"))]:
+        path.write_bytes(b"old bytes\n")
+        with failure, pytest.raises(OSError):
+            write(out)
+        assert path.read_bytes() == b"old bytes\n"
+        assert [p.name for p in out.iterdir()] == [name]
 
 
 def test_config_invalid_json_reports_path(tmp_path):
@@ -439,6 +517,14 @@ def test_cli_reports_broken_config(tmp_path, capsys):
     rc = cli.main(["gen", "--config", str(path)])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON: maximum recursion depth")
+
+    # past the interpreter's digit limit for int(), whose own message advises a Python call
+    blob["model"]["hidden"] = [int("9" * 4000)]
+    path.write_text(json.dumps(blob).replace("9" * 4000, "9" * 5000))
+    rc = cli.main(["gen", "--config", str(path)])
+    assert rc == 1
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == f"error: {path}: invalid JSON: an integer of more than {limit} digits\n"
 
 
 def test_cli_parses_each_call_afresh(experiment, monkeypatch):
@@ -742,9 +828,13 @@ def test_screen_recalibrates_stale_thresholds_file(experiment, tmp_path, change)
     ),
     (lambda blob: json.dumps({**blob, "tau": 0.1}), "unknown key 'tau'"),
     (lambda blob: "[" * 100_000 + "]" * 100_000, "invalid JSON: maximum recursion depth"),
+    (
+        lambda blob: json.dumps({**blob, "in_val_rows": "rows"}).replace('"rows"', "9" * 5000),
+        f"invalid JSON: an integer of more than {sys.get_int_max_str_digits()} digits\n",
+    ),
 ], ids=[
     "bad-json", "not-an-object", "missing-key", "string-tau", "nan-tau", "nan-drop-fraction", "unknown-key",
-    "deep-nesting",
+    "deep-nesting", "huge-integer",
 ])
 def test_screen_refuses_malformed_thresholds_file(experiment, tmp_path, capsys, corrupt, message):
     ckpts = copy_run(experiment, tmp_path)
@@ -758,22 +848,54 @@ def test_screen_refuses_malformed_thresholds_file(experiment, tmp_path, capsys, 
     assert err.startswith(f"error: {path}: {message}"), err
 
 
-# what a byte edit of thresholds.json may insert: any bytes, or one of these
-THRESHOLDS_BYTES = [b"NaN", b"-Infinity", b"nan", b"inf", b"1e999", b"9" * 5000, b"\xef\xbb\xbf", b"\x00", b"\r"]
+# what a byte edit of a JSON file may insert: any bytes, or one of these
+EDIT_BYTES = [b"NaN", b"-Infinity", b"nan", b"inf", b"1e999", b"9" * 5000, b"\xef\xbb\xbf", b"\x00", b"\r"]
 # what may replace the value of one key
-THRESHOLDS_VALUES = [
+EDIT_VALUES = [
     b"NaN", b"Infinity", b"-Infinity", b"1e999", b"-1e999", str(2**63).encode(), str(10**308).encode(),
-    str(10**309).encode(), b"-" + b"9" * 5000, b'"0.1"', b"null", b"[]", b"true", b"0",
+    str(10**309).encode(), b"-" + b"9" * 5000, b'"0.1"', b"null", b"[]", b"true", b"0", b"0.5", b"-1",
 ]
 byte_edit = st.tuples(
     st.integers(0, 2**12),  # where, taken modulo the file's length plus one
     st.integers(0, 8),  # how many bytes it removes
-    st.one_of(st.binary(max_size=8), st.sampled_from(THRESHOLDS_BYTES)),  # what it inserts
+    st.one_of(st.binary(max_size=8), st.sampled_from(EDIT_BYTES)),  # what it inserts
 )
-value_edit = st.tuples(
-    st.sampled_from([f.name for f in dataclasses.fields(cli._StoredThresholds)]),
-    st.sampled_from(THRESHOLDS_VALUES),
-)
+
+
+def value_edit(keys):
+    """Edits that give every value of one of ``keys`` one of EDIT_VALUES."""
+    return st.tuples(st.sampled_from(sorted(keys)), st.sampled_from(EDIT_VALUES))
+
+
+CONFIG_KEYS = {"schema_version"} | {
+    f.name for cls in (ExperimentConfig, DatasetConfig, ModelConfig, RoleConfig, OodSourceConfig,
+                       ScreeningConfig, EvalConfig) for f in dataclasses.fields(cls)
+}
+
+
+def screen_survives(argv, path, raw, edits):
+    """screen with the file at path edited: exit 0, or exit 1 naming the file with no file in
+    --out created or changed; never an uncaught exception."""
+    for edit in edits:
+        if isinstance(edit[0], int):
+            where, removed, inserted = edit
+            where %= len(raw) + 1
+            raw = raw[:where] + inserted + raw[where + removed:]
+        else:
+            key, value = edit
+            raw = re.sub(rb'("%s": )[^,\n]*' % key.encode(), lambda m: m[1] + value, raw)
+    path.write_bytes(raw)
+    out = Path(argv[argv.index("--out") + 1])
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (0, 1)
+    if rc == 1:
+        assert err.getvalue().startswith(f"error: {path}: "), err.getvalue()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    else:
+        assert err.getvalue() == ""
 
 
 @pytest.fixture(scope="module")
@@ -786,30 +908,27 @@ def warm_screen(experiment, tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(st.lists(st.one_of(byte_edit, value_edit), min_size=1, max_size=3))
+@given(st.lists(st.one_of(byte_edit, value_edit(f.name for f in dataclasses.fields(cli._StoredThresholds))),
+                min_size=1, max_size=3))
 def test_screen_survives_any_thresholds_file(warm_screen, edits):
-    """screen on an edited thresholds.json: exit 0, or exit 1 naming the file with no file
-    created or changed; never an uncaught exception."""
-    argv, path, raw = warm_screen
-    for edit in edits:
-        if isinstance(edit[0], int):
-            where, removed, inserted = edit
-            where %= len(raw) + 1
-            raw = raw[:where] + inserted + raw[where + removed:]
-        else:
-            key, value = edit
-            raw = re.sub(rb'("%s": )[^,\n]*' % key.encode(), lambda m: m[1] + value, raw)
-    path.write_bytes(raw)
-    before = {p.name: p.read_bytes() for p in path.parent.iterdir()}
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        rc = cli.main(argv)
-    assert rc in (0, 1)
-    if rc == 1:
-        assert err.getvalue().startswith(f"error: {path}: "), err.getvalue()
-        assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == before
-    else:
-        assert err.getvalue() == ""
+    screen_survives(*warm_screen, edits)
+
+
+@pytest.fixture(scope="module")
+def config_screen(experiment, tmp_path_factory):
+    """A copy of the run, with its own config.json, after one cold screen: its argv, its
+    config.json and that file's bytes."""
+    out = tmp_path_factory.mktemp("config")
+    save_config(small_config(str(out)), out / "config.json")
+    argv = screen_argv(str(out / "config.json"), copy_run(experiment, out), out)
+    assert run_cli(argv)[0] == 0
+    return argv, out / "config.json", (out / "config.json").read_bytes()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(st.one_of(byte_edit, value_edit(CONFIG_KEYS)), min_size=1, max_size=3))
+def test_screen_survives_any_config_file(config_screen, edits):
+    screen_survives(*config_screen, edits)
 
 
 @pytest.mark.parametrize("role", ["classifier", "detector"])
