@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import itertools
 import sys
@@ -115,38 +114,22 @@ _ModelPair = tuple[network.FeedForwardModel, network.FeedForwardModel]  # classi
 
 
 def _load_model_pair(paths: list[str]) -> tuple[_ModelPair, tuple[str, str]]:
-    """Both models, and the SHA-256 digests of the checkpoint files they come from.
+    """Both models, each read once by network.load_checkpoint, and the SHA-256 digests of their bytes.
 
-    Each checkpoint is read and hashed here; an unreadable one raises the
-    OSError that network.load_checkpoint would. The pair comes from
-    _build_pair, which reads the files again unless they hold the last pair's bytes.
+    A digest hashes network.checkpoint_bytes of the loaded model, the bytes it
+    was read from, so it names that model even if the file has since been
+    replaced. The models must agree on input and class count.
     """
     if len(paths) != 2:
         raise ValueError("expected two --checkpoint flags: classifier first, detector second")
-    digests = []
-    for path in paths:
-        with open(path, "rb") as fh:
-            digests.append(hashlib.sha256(fh.read()).hexdigest())
-    return _build_pair(tuple(paths), tuple(digests)), tuple(digests)
-
-
-@functools.lru_cache(maxsize=1)
-def _build_pair(paths: tuple[str, str], digests: tuple[str, str]) -> _ModelPair:
-    """Both models, loaded by network.load_checkpoint; they must agree on input and class count.
-
-    ``digests`` is part of the cache key only: a pair is reused while its
-    paths hold the same bytes. cli never changes a model it loaded.
-    """
-    classifier = network.load_checkpoint(paths[0])
-    detector = network.load_checkpoint(paths[1])
-    if classifier.layer_sizes[0] != detector.layer_sizes[0] or (
-        classifier.num_classes != detector.num_classes
-    ):
+    classifier, detector = (network.load_checkpoint(path) for path in paths)
+    if (classifier.input_dim, classifier.num_classes) != (detector.input_dim, detector.num_classes):
         raise ValueError(
             f"checkpoints disagree on input or class count: classifier {paths[0]} has layer_sizes "
             f"{list(classifier.layer_sizes)}, detector {paths[1]} has {list(detector.layer_sizes)}"
         )
-    return classifier, detector
+    models = classifier, detector
+    return models, tuple(hashlib.sha256(network.checkpoint_bytes(m)).hexdigest() for m in models)
 
 
 _THRESHOLDS_FILE = "thresholds.json"

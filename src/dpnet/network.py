@@ -23,6 +23,7 @@ __all__ = [
     "forward",
     "forward_batch",
     "backward",
+    "checkpoint_bytes",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -190,17 +191,23 @@ def backward(model: FeedForwardModel, x, dL_dz) -> GradientSet:
     return _backward_cached(model, acts, dz[None, :])
 
 
+def _sizes_line(sizes: tuple[int, ...]) -> str:
+    return ",".join(str(s) for s in sizes)
+
+
+def checkpoint_bytes(model: FeedForwardModel) -> bytes:
+    """A versioned ASCII header plus little-endian float64 blob; the one form load_checkpoint reads."""
+    header = "\n".join([CHECKPOINT_MAGIC, _sizes_line(model.layer_sizes), model.activation])
+    return header.encode("ascii") + b"\n" + model.params.astype("<f8").tobytes()
+
+
 def save_checkpoint(model: FeedForwardModel, path) -> None:
-    """Write a model as a versioned header plus little-endian float64 blob."""
-    header = "\n".join(
-        [CHECKPOINT_MAGIC, ",".join(str(s) for s in model.layer_sizes), model.activation]
-    )
     with _atomic.write(path) as fh:
-        fh.write(header.encode("ascii") + b"\n" + model.params.astype("<f8").tobytes())
+        fh.write(checkpoint_bytes(model))
 
 
 def load_checkpoint(path) -> FeedForwardModel:
-    """Read a checkpoint, validating magic, shape chain, and payload size."""
+    """Read a checkpoint, validating magic, shape chain, payload size, and checkpoint_bytes' exact form."""
     with open(path, "rb") as fh:
         raw = fh.read()
     parts = raw.split(b"\n", 3)
@@ -210,7 +217,10 @@ def load_checkpoint(path) -> FeedForwardModel:
     if magic.decode("ascii", errors="replace") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic")
     try:
-        sizes = _check_sizes(tuple(int(t) for t in sizes_line.decode("ascii").split(",")))
+        text = sizes_line.decode("ascii")
+        sizes = _check_sizes(tuple(int(t) for t in text.split(",")))
+        if text != _sizes_line(sizes):
+            raise ValueError(f"{text!r} is not written as {_sizes_line(sizes)!r}")
     except ValueError as exc:
         raise ValueError(f"{path}: bad layer sizes: {exc}") from None
     activation = act_line.decode("ascii", errors="replace")

@@ -11,6 +11,7 @@ import os
 import re
 import resource
 import signal
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -20,11 +21,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dpnet import cli, config, data, dirichlet, network, pipeline
+from dpnet import _atomic, cli, config, data, dirichlet, network, pipeline
 from dpnet.config import (
     SCHEMA_VERSION,
     DatasetConfig,
@@ -204,9 +205,9 @@ def disk_full_after(size: int):
 @pytest.mark.parametrize("writer", ["save_csv", "save_checkpoint", "write_json", "_write_decisions", "plot"])
 def test_every_writer_replaces_the_file_whole(tmp_path, capsys, writer):
     """Each writer's bytes are the only file in the directory, at the umask's mode. A rewrite
-    replaces a chmod-ed file or a symlink, and a write that fails part way, at fsync or at the
-    rename leaves the old bytes and no temp file. capsys keeps plot's output in memory, out of
-    reach of the file size limit."""
+    replaces a chmod-ed file or a symlink, and a write that fails at the temp file's open, part
+    way, at fsync or at the rename leaves the old bytes and no temp file, and raises an OSError
+    naming the file. capsys keeps plot's output in memory, out of reach of the file size limit."""
     src, out = tmp_path / "src", tmp_path / "out"
     src.mkdir()
     out.mkdir()
@@ -231,9 +232,17 @@ def test_every_writer_replaces_the_file_whole(tmp_path, capsys, writer):
     def no_space(*args):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    for failure in [disk_full_after(8), *(mock.patch.object(os, call, no_space) for call in ("fsync", "replace"))]:
+    def tmp_refused(file, mode):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+
+    failures = [
+        disk_full_after(8), mock.patch.object(_atomic, "open", tmp_refused, create=True),
+        *(mock.patch.object(os, call, no_space) for call in ("fsync", "replace")),
+    ]
+    for failure in failures:
         path.write_bytes(b"old bytes\n")
-        with failure, pytest.raises(OSError):
+        # the error names the artifact, not its temp file
+        with failure, pytest.raises(OSError, match=f": '{re.escape(str(path))}'$"):
             write(out)
         assert path.read_bytes() == b"old bytes\n"
         assert [p.name for p in out.iterdir()] == [name]
@@ -873,9 +882,8 @@ CONFIG_KEYS = {"schema_version"} | {
 }
 
 
-def screen_survives(argv, path, raw, edits):
-    """screen with the file at path edited: exit 0, or exit 1 naming the file with no file in
-    --out created or changed; never an uncaught exception."""
+def apply_edits(raw: bytes, edits) -> bytes:
+    """raw with each byte_edit or value_edit applied in turn."""
     for edit in edits:
         if isinstance(edit[0], int):
             where, removed, inserted = edit
@@ -884,7 +892,14 @@ def screen_survives(argv, path, raw, edits):
         else:
             key, value = edit
             raw = re.sub(rb'("%s": )[^,\n]*' % key.encode(), lambda m: m[1] + value, raw)
-    path.write_bytes(raw)
+    return raw
+
+
+def screen_survives(argv, path, raw, edits, refused=None):
+    """screen with the file at path edited: exit 0, or exit 1 with stderr matching ``refused``
+    (by default, naming the file) and no file in --out created or changed; never an uncaught
+    exception."""
+    path.write_bytes(apply_edits(raw, edits))
     out = Path(argv[argv.index("--out") + 1])
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     err = io.StringIO()
@@ -892,7 +907,7 @@ def screen_survives(argv, path, raw, edits):
         rc = cli.main(argv)
     assert rc in (0, 1)
     if rc == 1:
-        assert err.getvalue().startswith(f"error: {path}: "), err.getvalue()
+        assert re.match(refused or re.escape(f"error: {path}: "), err.getvalue()), err.getvalue()
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     else:
         assert err.getvalue() == ""
@@ -931,10 +946,84 @@ def test_screen_survives_any_config_file(config_screen, edits):
     screen_survives(*config_screen, edits)
 
 
+@pytest.fixture(scope="module", params=["classifier", "detector"])
+def checkpoint_screen(experiment, tmp_path_factory, request):
+    """A copy of the run after one cold screen: its argv, one role's checkpoint and that file's bytes."""
+    out = tmp_path_factory.mktemp(request.param)
+    argv = screen_argv(experiment["cfg"], copy_run(experiment, out), out)
+    assert run_cli(argv)[0] == 0
+    return argv, out / f"{request.param}.ckpt", (out / f"{request.param}.ckpt").read_bytes()
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(byte_edit, min_size=1, max_size=3))
+def test_screen_survives_any_checkpoint(checkpoint_screen, edits):
+    screen_survives(*checkpoint_screen, edits)
+
+
+# what a byte edit of a checkpoint's header may insert: each is read by int() beside a digit
+SIZES_BYTES = [b"+", b"-", b" ", b"_", b"0", b"\t", b"\r", b"\xd9\xa2"]
+sizes_edit = st.tuples(st.integers(0, 24), st.integers(0, 2), st.sampled_from(SIZES_BYTES))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.one_of(byte_edit, sizes_edit), min_size=1, max_size=3))
+@example([(len(b"dpnet-v1\n"), 0, b"+")])
+@example([(len(b"dpnet-v1\n2,"), 0, b" ")])
+@example([(len(b"dpnet-v1\n2,1"), 0, b"_")])
+def test_loaded_checkpoint_has_its_file_bytes(experiment, edits):
+    """A checkpoint that load_checkpoint reads gives back its file's bytes through
+    checkpoint_bytes, so the digest thresholds.json records names the bytes read."""
+    raw = apply_edits((experiment["out"] / "classifier.ckpt").read_bytes(), edits)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        path.write_bytes(raw)
+        try:
+            model = load_checkpoint(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+        else:
+            assert network.checkpoint_bytes(model) == raw
+
+
+def input_file(out, rows: int):
+    """``out``/input.csv: the first ``rows`` rows of shifted_test.csv, the first row's features set to 1.0."""
+    examples = load_csv(out / "shifted_test.csv")
+    features = examples.features[:rows].copy()
+    features[0] = 1.0
+    save_csv(out / "input.csv", ExampleSet(features, examples.labels[:rows]))
+    return out / "input.csv"
+
+
+@pytest.fixture(scope="module")
+def input_screen(experiment, tmp_path_factory):
+    """A copy of the run after one screen of a 64-row --input: its argv, the input and its bytes."""
+    out = tmp_path_factory.mktemp("input")
+    ckpts, path = copy_run(experiment, out), input_file(out, 64)
+    argv = ["screen", "--config", experiment["cfg"], *ckpts, "--input", str(path), "--out", str(out)]
+    assert run_cli(argv)[0] == 0
+    return argv, path, path.read_bytes()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(byte_edit, min_size=1, max_size=3))
+# finite features whose logits overflow the classifier
+@example([
+    (len(b"features:2,label:1\n"), len(b"1.0"), b"1e308"),
+    (len(b"features:2,label:1\n1e308,"), len(b"1.0"), b"1e308"),
+])
+def test_screen_survives_any_input_file(input_screen, edits):
+    """An edited --input is screened, refused at its path, or refused as overflowing a checkpoint."""
+    argv, path, _ = input_screen
+    ckpt = re.escape(str(path.parent)) + r"/(classifier|detector)\.ckpt"
+    refused = rf"error: ({re.escape(str(path))}:|{ckpt}: non-finite logits on {re.escape(str(path))}\n$)"
+    screen_survives(*input_screen, edits, refused)
+
+
 @pytest.mark.parametrize("role", ["classifier", "detector"])
 @pytest.mark.parametrize("gone", ["removed", "directory"])
 def test_screen_refuses_a_checkpoint_gone_after_a_warm_screen(experiment, tmp_path, capsys, role, gone):
-    """The pair built by the warm screens is not served once a checkpoint cannot be read."""
+    """After warm screens, a checkpoint that cannot be read is refused with its OSError."""
     ckpts = copy_run(experiment, tmp_path)
     screen = screen_argv(experiment["cfg"], ckpts, tmp_path)
     for _ in range(2):
@@ -1046,17 +1135,112 @@ def test_screen_loads_swapped_checkpoints_again(experiment, tmp_path, monkeypatc
 
 
 def test_repeated_screen_builds_nothing_again(experiment, tmp_path, monkeypatch):
-    """Of two identical screens, the second calls neither config.from_dict nor network.load_checkpoint."""
+    """Of two identical screens, the second does not call config.from_dict."""
     calls = []
-    for module, name in ((config, "from_dict"), (network, "load_checkpoint")):
-        original = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda arg, name=name, f=original: calls.append(name) or f(arg))
+    from_dict = config.from_dict
+    monkeypatch.setattr(config, "from_dict", lambda blob: calls.append(blob) or from_dict(blob))
     screen = screen_argv(experiment["cfg"], copy_run(experiment, tmp_path), tmp_path)
     assert run_cli(screen)[0] == 0
-    first = list(calls)
-    assert first.count("from_dict") == 1
+    assert len(calls) == 1
     assert run_cli(screen)[0] == 0
-    assert calls == first
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["screen", "eval"])
+def test_each_call_opens_each_checkpoint_once(experiment, tmp_path, monkeypatch, command):
+    ckpts = copy_run(experiment, tmp_path)
+    argv = {
+        "screen": screen_argv(experiment["cfg"], ckpts, tmp_path),
+        "eval": ["eval", "--config", experiment["cfg"], *ckpts, "--out", str(tmp_path)],
+    }[command]
+    opened = []
+    real_open = open
+
+    def spied_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spied_open)
+    for _ in range(2):
+        assert run_cli(argv)[0] == 0
+    assert [name for name in opened if name.endswith(".ckpt")] == [ckpts[1], ckpts[3]] * 2
+
+
+def test_thresholds_name_the_checkpoint_bytes_the_model_came_from(experiment, tmp_path, monkeypatch):
+    """classifier.ckpt replaced just before it is read: thresholds.json records the new bytes'
+    digest. Once the old bytes are back, the next screen recalibrates with the restored model."""
+    ckpts = copy_run(experiment, tmp_path)
+    screen = screen_argv(experiment["cfg"], ckpts, tmp_path)
+    path, thresholds = tmp_path / "classifier.ckpt", tmp_path / "thresholds.json"
+    old = path.read_bytes()
+    perturb_checkpoint(path)
+    new = path.read_bytes()
+    path.write_bytes(old)
+    load = network.load_checkpoint
+
+    def replaced_then_loaded(name):
+        if name == str(path):
+            path.write_bytes(new)
+        return load(name)
+
+    monkeypatch.setattr(network, "load_checkpoint", replaced_then_loaded)
+    assert run_cli(screen)[0] == 0
+    assert json.loads(thresholds.read_text())["classifier_sha256"] == hashlib.sha256(new).hexdigest()
+    monkeypatch.undo()
+
+    path.write_bytes(old)
+    assert run_cli(screen)[0] == 0
+    assert json.loads(thresholds.read_text())["classifier_sha256"] == hashlib.sha256(old).hexdigest()
+    restored = direct_scores(path, tmp_path / "detector.ckpt", tmp_path / "shifted_test.csv")
+    assert decision_scores(tmp_path / "decisions.csv")[1] == restored[1]
+
+
+def test_screen_names_decisions_a_full_disk_refuses(experiment, tmp_path, capsys):
+    """A warm screen whose decisions.csv outgrows the disk: exit 1 naming that file, no file
+    changed and no temp file left. capsys keeps the output in memory."""
+    screen = screen_argv(experiment["cfg"], copy_run(experiment, tmp_path), tmp_path)
+    assert cli.main(screen) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    with disk_full_after(1000):
+        assert cli.main(screen) == 1
+    err = capsys.readouterr().err
+    path = re.escape(str(tmp_path / "decisions.csv"))
+    assert re.fullmatch(rf"error: \[Errno {errno.EFBIG}\] [^:]+: '{path}'\n", err), err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_screen_as_a_process_matches_main(experiment, tmp_path, capsys):
+    """python -m dpnet.cli screen writes main's decisions.csv, thresholds.json and stdout, and
+    refuses a malformed --input with main's exit code and stderr."""
+    ckpts, path = copy_run(experiment, tmp_path), input_file(tmp_path, 64)
+    argv = ["screen", "--config", experiment["cfg"], *ckpts, "--input", str(path), "--out", str(tmp_path)]
+
+    def process():
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpnet.cli", *argv], cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, text=True, timeout=120,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def files():
+        return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    assert cli.main(argv) == 0
+    in_process, written = capsys.readouterr(), files()
+    for name in ("decisions.csv", "thresholds.json"):
+        (tmp_path / name).unlink()
+    assert process() == (0, in_process.out, "")
+    assert files() == written
+
+    path.write_bytes(path.read_bytes().replace(b"\n1.0,1.0,", b"\n1.0,one,", 1))
+    assert cli.main(argv) == 1
+    in_process = capsys.readouterr()
+    assert in_process.err.startswith(f"error: {path}:2: ")
+    assert process() == (1, "", in_process.err)
 
 
 def per_row_decision_rows(thresholds, scores, id_prefix):

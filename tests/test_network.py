@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,6 +14,7 @@ from dpnet.network import (
     CHECKPOINT_MAGIC,
     FeedForwardModel,
     backward,
+    checkpoint_bytes,
     forward,
     forward_batch,
     init_model,
@@ -241,6 +243,21 @@ def test_checkpoint_rejects_corruption(tmp_path):
             else:
                 loaded.append((pos, value))
     assert loaded == []
+
+
+@pytest.mark.parametrize("sizes", [
+    b"+2,4,3", b" 2,4,3", b"2,4,3 ", b"02,4,3", b"2,0_4,3", b"2,4,3\r", b"2, 4,3", b"2,4,+3",
+])
+def test_checkpoint_reads_only_the_written_sizes_line(tmp_path, sizes):
+    """int() reads each of these sizes lines as 2,4,3, but only checkpoint_bytes' form is read, so a
+    loaded model's checkpoint_bytes are always its file's bytes."""
+    raw = checkpoint_bytes(init_model((2, 4, 3), 1))
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(raw.replace(b"\n2,4,3\n", b"\n" + sizes + b"\n", 1))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad layer sizes: "):
+        load_checkpoint(path)
+    path.write_bytes(raw)
+    assert checkpoint_bytes(load_checkpoint(path)) == raw
 
 
 def test_model_copy_is_independent():
