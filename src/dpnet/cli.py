@@ -25,11 +25,20 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _read_dataset(path) -> bytes:
+    """The whole dataset CSV at path, for a caller that both hashes and parses it."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise FileNotFoundError(f"missing dataset file {path}") from None
+
+
 def _load_rows(
     path, dim: int | None = None, classes: int | None = None,
-    what: str = "rows", expect: str = "checkpoints expect",
+    what: str = "rows", expect: str = "checkpoints expect", raw: bytes | None = None,
 ) -> data.ExampleSet:
-    """Load one dataset CSV a command reads, refusing it with its path.
+    """Load one dataset CSV a command reads, or its bytes ``raw`` already read, refusing it with its path.
 
     Refused: a missing file, a file without rows (``no <what>``), a feature
     count other than ``dim``, and, when ``classes`` is given, missing labels.
@@ -37,7 +46,7 @@ def _load_rows(
     Commands load every input through here before they write any file.
     """
     try:
-        examples = data.load_csv(path, classes)
+        examples = data.load_csv(path, classes, raw)
     except FileNotFoundError:
         raise FileNotFoundError(f"missing dataset file {path}") from None
     if len(examples) == 0:
@@ -91,7 +100,7 @@ def _resolve_ood_sources(
 
 
 def cmd_train(cfg: cfgmod.ExperimentConfig, role_name: str, out: Path) -> int:
-    role = cfg.role(role_name)
+    role = getattr(cfg, role_name)
     classes, in_train = cfg.dataset.classes, out / "in_train.csv"
     train_set = _load_rows(in_train, classes=classes)
     val_set = _load_rows(
@@ -150,27 +159,15 @@ class _StoredThresholds:
     tau_d: float
 
 
-def _sha256(path) -> str | None:
-    """in_val.csv's SHA-256 hex digest; None if it cannot be read, which matches no stored digest.
-
-    The read that follows a None refuses the file with its own message.
-    """
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    except OSError:
-        return None
-
-
-def _calibration_inputs(cfg: cfgmod.ExperimentConfig, digests: tuple[str, str], val_path: Path) -> dict:
-    """The thresholds.json fields that must all match for its thresholds to be reused."""
+def _calibration_inputs(cfg: cfgmod.ExperimentConfig, digests: tuple[str, str], val_raw: bytes) -> dict:
+    """The thresholds.json fields that must all match for its thresholds to be reused; val_raw is in_val.csv's bytes."""
     return {
         "classifier_sha256": digests[0],
         "detector_sha256": digests[1],
         "drop_fraction_classifier": cfg.screening.drop_fraction_classifier,
         "drop_fraction_detector": cfg.screening.drop_fraction_detector,
         "format": _THRESHOLDS_FORMAT,
-        "in_val_sha256": _sha256(val_path),
+        "in_val_sha256": hashlib.sha256(val_raw).hexdigest(),
     }
 
 
@@ -199,14 +196,17 @@ def _screen_scores(models: _ModelPair, ckpts: list[str], path, features) -> pipe
 def _screening_thresholds(
     cfg: cfgmod.ExperimentConfig, ckpts: list[str], models: _ModelPair, digests: tuple[str, str], out: Path
 ) -> pipeline.ScreeningThresholds:
-    """Stored thresholds while thresholds.json matches; else calibrate and rewrite it."""
-    val_path = out / "in_val.csv"
-    inputs = _calibration_inputs(cfg, digests, val_path)
-    path = out / _THRESHOLDS_FILE
-    stored = cfgmod.read_json(path, _StoredThresholds) if path.exists() else None
+    """Stored thresholds while thresholds.json matches; else calibrate on in_val.csv's one read and rewrite it."""
+    path, val_path = out / _THRESHOLDS_FILE, out / "in_val.csv"
+    try:  # read first: when both files are malformed, thresholds.json is the one refused
+        stored = cfgmod.read_json(path, _StoredThresholds)
+    except FileNotFoundError:  # none stored yet
+        stored = None
+    val_raw = _read_dataset(val_path)
+    inputs = _calibration_inputs(cfg, digests, val_raw)
     if stored is not None and all(getattr(stored, key) == value for key, value in inputs.items()):
         return pipeline.ScreeningThresholds(tau_d=stored.tau_d, tau_c=stored.tau_c)
-    val_set = _load_rows(val_path, models[0].layer_sizes[0], what="validation rows")
+    val_set = _load_rows(val_path, models[0].layer_sizes[0], what="validation rows", raw=val_raw)
     return _calibrate(cfg, inputs, _screen_scores(models, ckpts, val_path, val_set.features), path)
 
 
@@ -244,10 +244,10 @@ def cmd_screen(cfg: cfgmod.ExperimentConfig, ckpts: list[str], input_path: str, 
 
     The thresholds come from ``<out>/thresholds.json`` when its format tag,
     both drop fractions and the SHA-256 digests of both checkpoints and
-    ``in_val.csv`` match; then ``in_val.csv`` is hashed but not parsed.
-    Otherwise both thresholds are calibrated on ``in_val.csv`` and the file
-    is rewritten. A malformed file, or logits that overflow, are refused,
-    naming the file, before any file is written.
+    ``in_val.csv`` match. Otherwise both are calibrated on ``in_val.csv``
+    and the file is rewritten. ``in_val.csv`` is read once; its digest, and
+    its parse if any, come from those bytes. A malformed file, or logits that
+    overflow, are refused, naming the file, before any file is written.
     """
     models, digests = _load_model_pair(ckpts)
     examples = _load_rows(input_path, models[0].layer_sizes[0])
@@ -264,14 +264,16 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
     """Write scores.csv, detection_rates.csv, rescore_auroc.csv and thresholds.json.
 
     Both thresholds are always calibrated on ``in_val.csv`` here, and
-    thresholds.json records them for ``screen`` to reuse. All four dataset
-    files are loaded and checked before anything is written.
+    thresholds.json records them for ``screen`` to reuse, with the digest of
+    the in_val.csv bytes parsed. All four dataset files are loaded and
+    checked before anything is written.
     """
     models, digests = _load_model_pair(ckpts)
     classifier = models[0]
     dim = classifier.layer_sizes[0]
+    val_raw = _read_dataset(out / "in_val.csv")
     sets = {
-        "in_val": _load_rows(out / "in_val.csv", dim, what="validation rows"),
+        "in_val": _load_rows(out / "in_val.csv", dim, what="validation rows", raw=val_raw),
         "in_test": _load_rows(out / "in_test.csv", dim),
         # its labels are what discard_and_rescore scores
         "shifted_test": _load_rows(out / "shifted_test.csv", dim, classifier.num_classes),
@@ -283,7 +285,7 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
     }
     s_val = scores["in_val"].s_d
 
-    inputs = _calibration_inputs(cfg, digests, out / "in_val.csv")
+    inputs = _calibration_inputs(cfg, digests, val_raw)
     thresholds = _calibrate(cfg, inputs, scores["in_val"], out / _THRESHOLDS_FILE)
     _write_decisions(out / "scores.csv", thresholds, [
         (f"{name}/", scores[name]) for name in ("in_test", "shifted_test", "far_ood")

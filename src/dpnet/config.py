@@ -155,13 +155,6 @@ class ExperimentConfig:
     screening: ScreeningConfig = field(default_factory=ScreeningConfig)
     evaluation: EvalConfig = field(default_factory=EvalConfig)
 
-    def role(self, name: str) -> RoleConfig:
-        if name == "classifier" and self.classifier is not None:
-            return self.classifier
-        if name == "detector" and self.detector is not None:
-            return self.detector
-        raise ValueError(f"config: no settings for role {name!r}")
-
 
 def default_config(out_dir: str = "runs/default") -> ExperimentConfig:
     """Defaults sized so the full experiment runs in well under a minute."""

@@ -10,6 +10,7 @@ clusters. All randomness flows from explicit seeds.
 from __future__ import annotations
 
 import contextlib
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -150,15 +151,15 @@ def _parse_header(line: str, path) -> tuple[int, bool]:
     return dim, bool(flag)
 
 
-def _pieces(path):
-    """(number of the first line, lines) of each piece of CHUNK_ROWS lines of the file.
+def _pieces(path, raw: bytes | None):
+    """(number of the first line, lines) of each piece of CHUNK_ROWS lines of the file, or of ``raw``.
 
     A piece ends right after b"\\n", which no UTF-8 sequence holds and where
     str.splitlines always ends a line, so the pieces' lines are the whole text's.
     A piece that is not UTF-8 yields its lines before the bad one, then raises.
     """
     first = 1
-    with open(path, "rb") as fh:
+    with open(path, "rb") if raw is None else io.BytesIO(raw) as fh:
         while piece := b"".join(itertools.islice(fh, CHUNK_ROWS)):
             try:
                 lines = piece.decode("utf-8").splitlines()
@@ -229,12 +230,13 @@ def _parse_rows(path, lines: list[str], first: int, dim: int, labeled: bool, cla
         raise
 
 
-def load_csv(path, classes: int | None = None) -> ExampleSet:
+def load_csv(path, classes: int | None = None, raw: bytes | None = None) -> ExampleSet:
     """Parse a dataset CSV CHUNK_ROWS lines at a time; malformed input raises naming its first bad line.
 
-    With ``classes`` given, a label >= ``classes`` is malformed too.
+    With ``classes`` given, a label >= ``classes`` is malformed too. With
+    ``raw`` given, those bytes are parsed as the file at ``path``, unopened.
     """
-    with contextlib.closing(_pieces(path)) as pieces:
+    with contextlib.closing(_pieces(path, raw)) as pieces:
         _, lines = next(pieces, (1, []))
         if not lines or not lines[0].strip():
             raise ValueError(f"{path}:1: missing header")

@@ -299,13 +299,6 @@ def test_role_train_config_is_the_one_train_builds():
     assert cfg.detector.train_config().objective.ood_terms == (OodTerm(0.5, -1.0), OodTerm(0.5, -0.2))
 
 
-def test_missing_role_is_an_error():
-    cfg = ExperimentConfig(out_dir="x")
-    with pytest.raises(ValueError, match="role"):
-        cfg.role("classifier")
-    assert default_config().role("detector").lambda_in == 0.5
-
-
 def small_config(out_dir: str) -> ExperimentConfig:
     return ExperimentConfig(
         out_dir=out_dir,
@@ -1020,6 +1013,31 @@ def test_screen_survives_any_input_file(input_screen, edits):
     screen_survives(*input_screen, edits, refused)
 
 
+@pytest.fixture(scope="module", params=["eval", "screen"])
+def in_val_run(experiment, tmp_path_factory, request):
+    """A copy of the run: the argv of eval or of a screen, in_val.csv and that file's bytes."""
+    out = tmp_path_factory.mktemp(f"in-val-{request.param}")
+    ckpts = copy_run(experiment, out)
+    argv = {
+        "eval": ["eval", "--config", experiment["cfg"], *ckpts, "--out", str(out)],
+        "screen": screen_argv(experiment["cfg"], ckpts, out),
+    }[request.param]
+    return argv, out / "in_val.csv", (out / "in_val.csv").read_bytes()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(byte_edit, min_size=1, max_size=3))
+# a first row of finite features whose logits overflow the classifier
+@example([(len(b"features:2,label:1\n"), 0, b"1e308,1e308,0\n")])
+def test_eval_and_cold_screen_survive_any_in_val_file(in_val_run, edits):
+    """An edited in_val.csv is calibrated on, refused at its path, or refused as overflowing a checkpoint."""
+    argv, path, _ = in_val_run
+    (path.parent / "thresholds.json").unlink(missing_ok=True)  # so a screen calibrates on in_val.csv
+    ckpt = re.escape(str(path.parent)) + r"/(classifier|detector)\.ckpt"
+    refused = rf"error: ({re.escape(str(path))}:|{ckpt}: non-finite logits on {re.escape(str(path))}\n$)"
+    screen_survives(*in_val_run, edits, refused)
+
+
 @pytest.mark.parametrize("role", ["classifier", "detector"])
 @pytest.mark.parametrize("gone", ["removed", "directory"])
 def test_screen_refuses_a_checkpoint_gone_after_a_warm_screen(experiment, tmp_path, capsys, role, gone):
@@ -1146,24 +1164,88 @@ def test_repeated_screen_builds_nothing_again(experiment, tmp_path, monkeypatch)
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("command", ["screen", "eval"])
-def test_each_call_opens_each_checkpoint_once(experiment, tmp_path, monkeypatch, command):
+@pytest.mark.parametrize("command", ["train", "cold-screen", "warm-screen", "eval", "plot"])
+def test_each_call_opens_each_file_once(experiment, tmp_path, monkeypatch, command):
+    """One call opens each file it reads once, so no file replaced during the call can give one
+    read's bytes to a digest and another's to a parse."""
     ckpts = copy_run(experiment, tmp_path)
-    argv = {
-        "screen": screen_argv(experiment["cfg"], ckpts, tmp_path),
-        "eval": ["eval", "--config", experiment["cfg"], *ckpts, "--out", str(tmp_path)],
+    (tmp_path / "in_train.csv").write_bytes((experiment["out"] / "in_train.csv").read_bytes())
+    cfg, out = experiment["cfg"], ["--out", str(tmp_path)]
+    screen = screen_argv(cfg, ckpts, tmp_path)
+    screen_reads = [cfg, ckpts[1], ckpts[3], "shifted_test.csv", "thresholds.json", "in_val.csv"]
+    # each call's argv and the files it reads: absolute paths, or names in tmp_path
+    argv, reads = {
+        "train": (["train", "--config", cfg, "--role", "detector", *out],
+                  [cfg, "in_train.csv", "in_val.csv", "far_ood.csv"]),
+        "cold-screen": (screen, screen_reads),
+        "warm-screen": (screen, screen_reads),
+        "eval": (["eval", "--config", cfg, *ckpts, *out],
+                 [cfg, ckpts[1], ckpts[3], "in_val.csv", "in_test.csv", "shifted_test.csv", "far_ood.csv"]),
+        "plot": (["plot", *ckpts[:2], "--input", str(tmp_path / "in_test.csv"), *out], [ckpts[1], "in_test.csv"]),
     }[command]
+    if command == "warm-screen":
+        assert run_cli(argv)[0] == 0
     opened = []
     real_open = open
 
-    def spied_open(file, *args, **kwargs):
-        opened.append(str(file))
-        return real_open(file, *args, **kwargs)
+    def spied_open(file, mode="r", *args, **kwargs):
+        opened.append((str(file), mode))
+        return real_open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr("builtins.open", spied_open)
-    for _ in range(2):
-        assert run_cli(argv)[0] == 0
-    assert [name for name in opened if name.endswith(".ckpt")] == [ckpts[1], ckpts[3]] * 2
+    assert run_cli(argv)[0] == 0
+    read = [name for name, mode in opened if not set(mode) & set("wax+")]
+    assert sorted(read) == sorted(str(tmp_path / name) for name in reads)
+
+
+@pytest.mark.parametrize("command", ["eval", "cold-screen"])
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_thresholds_describe_the_in_val_bytes_parsed(experiment, tmp_path, monkeypatch, command, when):
+    """in_val.csv replaced by its first 60 rows just before or just after it is parsed:
+    thresholds.json records the digest and row count of the bytes that were parsed."""
+    ckpts = copy_run(experiment, tmp_path)
+    path = tmp_path / "in_val.csv"
+    old = path.read_bytes()
+    new = b"".join(old.splitlines(keepends=True)[:61])
+    argv = {
+        "eval": ["eval", "--config", experiment["cfg"], *ckpts, "--out", str(tmp_path)],
+        "cold-screen": screen_argv(experiment["cfg"], ckpts, tmp_path),
+    }[command]
+    load, parsed = data.load_csv, []
+
+    def replaced(name, *args):
+        if name == path and when == "before":
+            path.write_bytes(new)
+        examples = load(name, *args)
+        if name == path:
+            parsed.append(len(examples))
+            if when == "after":
+                path.write_bytes(new)
+        return examples
+
+    monkeypatch.setattr(data, "load_csv", replaced)
+    assert run_cli(argv)[0] == 0
+    assert path.read_bytes() == new and len(parsed) == 1
+    blob = json.loads((tmp_path / "thresholds.json").read_text())
+    described = {120: old, 60: new}[parsed[0]]
+    assert (blob["in_val_sha256"], blob["in_val_rows"]) == (hashlib.sha256(described).hexdigest(), parsed[0])
+
+
+def test_screen_recalibrates_when_thresholds_file_vanishes_before_its_read(experiment, tmp_path, monkeypatch):
+    """thresholds.json removed between a warm screen's start and its read: the screen calibrates
+    again and writes the same file, rather than refusing the call."""
+    screen = screen_argv(experiment["cfg"], copy_run(experiment, tmp_path), tmp_path)
+    assert run_cli(screen)[0] == 0
+    path = tmp_path / "thresholds.json"
+    written, read_json = path.read_bytes(), config.read_json
+
+    def removed_then_read(name, cls):
+        Path(name).unlink()
+        return read_json(name, cls)
+
+    monkeypatch.setattr(config, "read_json", removed_then_read)
+    assert run_cli(screen)[0] == 0
+    assert path.read_bytes() == written
 
 
 def test_thresholds_name_the_checkpoint_bytes_the_model_came_from(experiment, tmp_path, monkeypatch):

@@ -375,7 +375,8 @@ def load_or_error(load, path):
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.data())
 def test_chunked_csv_io_matches_whole_file(data):
-    """With pieces of a few rows, files cross many piece edges: same bytes, arrays and errors."""
+    """With pieces of a few rows, files cross many piece edges: same bytes, arrays and errors,
+    whether load_csv reads the file or is given its bytes."""
     examples = data.draw(example_sets(max_rows=40))
     blanks = data.draw(blank_lines)
     # mixed, so pieces cut at b"\n" hold lines ended by every other boundary
@@ -400,16 +401,20 @@ def test_chunked_csv_io_matches_whole_file(data):
         lines = with_blank_lines("\n".join([header, *rows]), blanks)[0].split("\n")[:-1]
         text = "".join(line + endings[n % len(endings)] for n, line in enumerate(lines))
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
-        got, want = load_or_error(load_csv, path), load_or_error(whole_file_load_csv, path)
-    if isinstance(want, str):
-        assert got == want
-        return
-    assert got.features.shape == want.features.shape
-    assert got.features.tobytes() == want.features.tobytes()
-    if want.labels is None:
-        assert got.labels is None
-    else:
-        assert got.labels.tobytes() == want.labels.tobytes()
+        want = load_or_error(whole_file_load_csv, path)
+        # the file's bytes passed as raw parse as the file does
+        raw = path.read_bytes()
+        results = [load_or_error(load_csv, path), load_or_error(lambda p, classes: load_csv(p, classes, raw), path)]
+    for got in results:
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert got.features.shape == want.features.shape
+        assert got.features.tobytes() == want.features.tobytes()
+        if want.labels is None:
+            assert got.labels is None
+        else:
+            assert got.labels.tobytes() == want.labels.tobytes()
 
 
 @settings(max_examples=100, deadline=None, database=None)
