@@ -17,7 +17,9 @@ and returns loss parts plus parameter gradients.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +118,32 @@ class ObjectiveResult:
     gradients: GradientSet
 
 
+@functools.lru_cache(maxsize=32)
+def _layout(sizes: tuple[int, ...], k: int, coefs: bytes):
+    """The constants of one stacked batch, built once per layout and read-only.
+
+    sizes holds the in-domain row count, then each OOD batch's. coefs packs
+    lambda_in, each lambda_out, then each gamma as float64 bytes, so
+    coefficients that compare equal but differ in bits (0.0 and -0.0) never
+    share an entry. Returns the in-domain row indices, the target with the
+    in-domain rows zeroed for the caller's one-hot, c = lambda / K per row,
+    the per-row weight as a column (1/n in-domain, gamma_j / m_j for source
+    j), and each part's (start, stop) rows.
+    """
+    values = struct.unpack(f"{len(coefs) // 8}d", coefs)
+    lambdas, gammas = values[: len(sizes)], values[len(sizes) :]
+    n = sizes[0]
+    target = np.full((sum(sizes), k), 1.0 / k)
+    target[:n] = 0.0
+    c = np.repeat(lambdas, sizes) / k
+    weight = np.repeat([1.0 / n, *(g / max(m, 1) for g, m in zip(gammas, sizes[1:]))], sizes)
+    ends = np.cumsum([0, *sizes]).tolist()
+    arrays = (np.arange(n), target, c, weight[:, None])
+    for a in arrays:
+        a.flags.writeable = False
+    return (*arrays, tuple(zip(ends, ends[1:])))
+
+
 def objective_batch(
     model: FeedForwardModel,
     in_features: np.ndarray,
@@ -129,7 +157,8 @@ def objective_batch(
     stacked into one batch: one forward pass, one per-row loss, and one
     backward pass on a dL/dZ already scaled by 1/n (in-domain) and
     gamma_j/m_j (source j). Rows enter each reduction in stacking order,
-    so results are deterministic.
+    so results are deterministic. The per-row constants come from _layout;
+    each call writes only its one-hot rows, into a copy of the target.
     """
     X = np.asarray(in_features, dtype=float)
     y = np.asarray(in_labels)
@@ -157,22 +186,18 @@ def objective_batch(
     if not np.isfinite(S).all():
         raise ValueError("in_features and OOD batches must be finite")
 
-    sizes = [n, *(len(B) for B in batches)]
     terms = cfg.ood_terms
-    target = np.full((len(S), k), 1.0 / k)
-    target[:n] = 0.0
-    target[np.arange(n), y] = 1.0
-    c = np.repeat([cfg.lambda_in, *(t.lambda_out for t in terms)], sizes) / k
-    weight = np.repeat([1.0 / n, *(t.gamma / max(m, 1) for t, m in zip(terms, sizes[1:]))], sizes)
+    sizes = (n, *(len(B) for B in batches))
+    coefs = (cfg.lambda_in, *(t.lambda_out for t in terms), *(t.gamma for t in terms))
+    in_rows, template, c, weight, bounds = _layout(sizes, k, struct.pack(f"{len(coefs)}d", *coefs))
+    target = template.copy()
+    target[in_rows, y] = 1.0
 
     Z, acts = _forward_cached(model, S)
     losses, dZ = _loss_rows(Z, target, c)
-    dZ *= weight[:, None]
+    dZ *= weight
     grads = _backward_cached(model, acts, dZ)
 
-    parts, a = [], 0
-    for m in sizes:
-        parts.append(float(losses[a : a + m].sum()) / m if m else 0.0)
-        a += m
+    parts = [float(losses[a:b].sum()) / (b - a) if b > a else 0.0 for a, b in bounds]
     total = parts[0] + sum(t.gamma * part for t, part in zip(terms, parts[1:]))
     return ObjectiveResult(total, parts[0], tuple(parts[1:]), grads)

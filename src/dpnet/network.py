@@ -172,7 +172,7 @@ def _backward_cached(model: FeedForwardModel, acts, dZ: np.ndarray) -> GradientS
     delta = dZ
     for l in range(len(model.weights) - 1, -1, -1):
         np.matmul(delta.T, acts[l], out=grads_w[l])
-        np.sum(delta, axis=0, out=grads_b[l])
+        np.add.reduce(delta, axis=0, out=grads_b[l])
         if l > 0:
             delta = delta @ model.weights[l]
             delta *= dact(acts[l])

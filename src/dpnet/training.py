@@ -139,28 +139,30 @@ def train(
     report = TrainReport(loss_ood=[[] for _ in ood_sets])
     n = len(train_set)
     steps_per_epoch = -(-n // cfg.batch_size)
+    ood_rows = cfg.batch_size * steps_per_epoch  # every step draws a full batch per source
     global_step = 0
 
     for _ in range(cfg.epochs):
         order = in_rng.permutation(n)
-        # one gather per epoch; each step then takes a contiguous slice
+        # one gather per epoch and source; each step then takes a contiguous
+        # slice. A cycler hands out the same rows in the same order whether
+        # it is asked for an epoch's worth at once or one batch at a time.
         features, labels = train_set.features[order], train_set.labels[order]
-        sums = np.zeros(2 + len(ood_sets))
+        ood_epoch = [
+            s.features[cycler.take(ood_rows)] if cycler is not None else s.features
+            for s, cycler in zip(ood_sets, cyclers)
+        ]
+        sums = [0.0] * (2 + len(ood_sets))
         for step in range(steps_per_epoch):
             rows = slice(step * cfg.batch_size, (step + 1) * cfg.batch_size)
-            batches = [
-                ood_sets[j].features[cyclers[j].take(cfg.batch_size)]
-                if cyclers[j] is not None
-                else ood_sets[j].features
-                for j in range(len(ood_sets))
-            ]
+            batches = [B[rows] for B in ood_epoch]  # an empty source stays empty
             result = objective_batch(work, features[rows], labels[rows], batches, cfg.objective)
             if not math.isfinite(result.total):
                 raise RuntimeError(f"non-finite training loss at step {global_step}")
             velocity *= cfg.momentum
             velocity -= cfg.learning_rate * result.gradients.flat
             work.params += velocity  # in place: work.weights/biases are views of params
-            sums += [result.total, result.in_loss, *result.ood_losses]
+            sums = [a + b for a, b in zip(sums, (result.total, result.in_loss, *result.ood_losses))]
             global_step += 1
 
         # the loss check sees an update only at the next step, and the
@@ -171,11 +173,11 @@ def train(
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.isfinite(forward_batch(work, features[rows])).all():
                 raise RuntimeError(f"non-finite logits after step {global_step - 1}")
-        means = sums / steps_per_epoch
-        report.loss_total.append(float(means[0]))
-        report.loss_in.append(float(means[1]))
-        for j in range(len(ood_sets)):
-            report.loss_ood[j].append(float(means[2 + j]))
+        total, in_loss, *ood_losses = (a / steps_per_epoch for a in sums)
+        report.loss_total.append(total)
+        report.loss_in.append(in_loss)
+        for trace, mean in zip(report.loss_ood, ood_losses):
+            trace.append(mean)
         if val_set is not None:
             report.val_accuracy.append(evaluate_accuracy(work, val_set))
 

@@ -44,7 +44,7 @@ from dpnet.config import (
 )
 from dpnet.data import ExampleSet, load_csv, save_csv
 from dpnet.losses import ObjectiveConfig, OodTerm
-from dpnet.network import init_model, load_checkpoint, save_checkpoint
+from dpnet.network import FeedForwardModel, init_model, load_checkpoint, save_checkpoint
 from dpnet.training import TrainConfig
 
 
@@ -636,8 +636,10 @@ def test_train_refuses_non_finite_last_update(experiment, tmp_path, capsys):
     for name in ("in_train.csv", "in_val.csv", "far_ood.csv"):
         (tmp_path / name).write_bytes((experiment["out"] / name).read_bytes())
     cfg = small_config(str(tmp_path))
+    # relu, because tanh keeps every hidden value in [-1, 1] and so the logits finite
+    model = dataclasses.replace(cfg.model, activation="relu")
     role = dataclasses.replace(cfg.detector, epochs=1, batch_size=300, learning_rate=1e308)
-    save_config(dataclasses.replace(cfg, detector=role), tmp_path / "config.json")
+    save_config(dataclasses.replace(cfg, model=model, detector=role), tmp_path / "config.json")
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     capsys.readouterr()
     with np.errstate(over="ignore"):
@@ -653,8 +655,10 @@ def test_train_refuses_parameters_whose_logits_overflow(experiment, tmp_path, ca
     for name in ("in_train.csv", "in_val.csv", "far_ood.csv"):
         (tmp_path / name).write_bytes((experiment["out"] / name).read_bytes())
     cfg = small_config(str(tmp_path))
+    # relu, because tanh keeps every hidden value in [-1, 1] and so the logits finite
+    model = dataclasses.replace(cfg.model, activation="relu")
     role = dataclasses.replace(cfg.classifier, epochs=1, batch_size=300, learning_rate=1e308)
-    save_config(dataclasses.replace(cfg, classifier=role), tmp_path / "config.json")
+    save_config(dataclasses.replace(cfg, model=model, classifier=role), tmp_path / "config.json")
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     capsys.readouterr()
     rc = cli.main(["train", "--config", str(tmp_path / "config.json"), "--role", "classifier"])
@@ -670,7 +674,9 @@ def test_cli_refuses_checkpoint_whose_logits_overflow(experiment, tmp_path, caps
     or --out directory created or changed, and no numpy warning (the suite makes those errors)."""
     ckpts = copy_run(experiment, tmp_path)
     ckpt = tmp_path / f"{role}.ckpt"
-    model = load_checkpoint(ckpt)
+    # re-saved as relu, because tanh keeps every hidden value in [-1, 1] and so the logits finite
+    loaded = load_checkpoint(ckpt)
+    model = FeedForwardModel(loaded.layer_sizes, loaded.weights, loaded.biases, activation="relu")
     model.params *= 1e150
     save_checkpoint(model, ckpt)
     # screen and plot score their --input first; eval scores in_val.csv first

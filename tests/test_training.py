@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_losses import masked_sigmoid
 
+import dpnet.losses
 import dpnet.training
 from dpnet.data import ExampleSet, gen_far_ood, gen_in_domain
 from dpnet.losses import ObjectiveConfig, OodTerm, objective_batch
@@ -312,6 +317,40 @@ def test_objective_batch_int_coefficients_match_floats():
     assert same_bits(a.gradients.flat, b.gradients.flat)
 
 
+def test_cached_objective_constants_never_leak_between_calls():
+    rng = np.random.default_rng(38)
+    model = init_model((2, 8, 3), seed=39)
+    X, y = rng.normal(0.0, 2.0, (16, 2)), rng.integers(0, 3, 16)
+    batches = [rng.normal(0.0, 4.0, (16, 2)), rng.normal(0.0, 4.0, (8, 2))]
+    # each pair compares equal. The first differs in the sign of a zero lambda, so it
+    # gets its own constants; no output bit shows that sign (numpy sums start from
+    # +0.0), so the entry count checks it. The second differs in int vs float, whose
+    # float64 bits are the same, so the two share one entry.
+    pairs = [
+        ((ObjectiveConfig(0.0, (OodTerm(0.5, -1.0), OodTerm(0.3, 0.0))),
+          ObjectiveConfig(-0.0, (OodTerm(0.5, -1.0), OodTerm(0.3, -0.0)))), 2),
+        ((ObjectiveConfig(0, (OodTerm(1, -1), OodTerm(0, 0))),
+          ObjectiveConfig(0.0, (OodTerm(1.0, -1.0), OodTerm(0.0, 0.0)))), 1),
+    ]
+    for pair, layouts in pairs:
+        assert pair[0] == pair[1]
+        for order in (pair, pair[::-1]):
+            dpnet.losses._layout.cache_clear()
+            for cfg in (*order, *order):
+                args = [X.copy(), y.copy(), [B.copy() for B in batches]]
+                result = objective_batch(model, *args, cfg)
+                parts, flat = reference_objective(model, X, y, batches, cfg)
+                assert same_bits([result.total, result.in_loss, *result.ood_losses], parts)
+                assert same_bits(result.gradients.flat, flat)
+                # neither the caller's arrays nor the result are shared with a later call
+                args[0][:] = 1e6
+                args[1][:] = 0
+                for B in args[2]:
+                    B[:] = -1e6
+                result.gradients.flat[:] = np.nan  # the weights and biases are views of it
+            assert dpnet.losses._layout.cache_info().currsize == layouts
+
+
 def reference_train(model, train_set, ood_sets, cfg):
     """train() without validation in its earlier form: per-step fancy
     indexing, out-of-place momentum and reference_objective. Returns the
@@ -367,5 +406,52 @@ def test_train_is_bit_identical_to_earlier_loop_with_one_call_per_step(activatio
     assert len(totals) == cfg.epochs * -(-len(data) // cfg.batch_size) == 9
 
     params, want = reference_train(model, data, [far, near, none], cfg)
+    assert same_bits(trained.params, params)
+    assert same_bits(totals, want)
+
+
+@st.composite
+def gather_cases(draw):
+    """n with a batch size that does not divide it, and OOD sets of 0 rows, fewer rows
+    than a batch, or a divisor of an epoch's draw, so a cycler wraps exactly at its end."""
+    batch = draw(st.integers(2, 9))
+    n = batch * draw(st.integers(0, 3)) + draw(st.integers(1, batch - 1))
+    epoch_rows = batch * -(-n // batch)
+    wraps = [m for m in range(1, epoch_rows + 1) if epoch_rows % m == 0]
+    sizes = draw(
+        st.lists(
+            st.one_of(st.just(0), st.integers(1, batch - 1), st.sampled_from(wraps)),
+            min_size=1, max_size=3,
+        )
+    )
+    terms = tuple(
+        OodTerm(draw(st.sampled_from([0.3, 1.0])) if m else 0.0, draw(st.sampled_from([-1.0, -0.2])))
+        for m in sizes
+    )
+    return n, batch, sizes, terms, draw(st.integers(1, 3)), draw(st.sampled_from(["relu", "tanh"]))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(gather_cases(), st.integers(0, 2**16))
+def test_epoch_level_ood_gather_matches_per_step_draws(case, seed):
+    n, batch, sizes, terms, epochs, activation = case
+    rng = np.random.default_rng(seed)
+    data = ExampleSet(rng.normal(0.0, 3.0, (n, 2)), rng.integers(0, 3, n))
+    ood = [ExampleSet(rng.normal(0.0, 8.0, (m, 2))) for m in sizes]
+    cfg = TrainConfig(
+        ObjectiveConfig(0.5, terms), epochs=epochs, batch_size=batch, learning_rate=0.05, seed=seed
+    )
+    model = init_model((2, 8, 3), seed=seed, activation=activation)
+    totals = []
+
+    def counted(*args):
+        result = objective_batch(*args)
+        totals.append(result.total)
+        return result
+
+    with mock.patch.object(dpnet.training, "objective_batch", counted):
+        trained, _ = train(model, data, ood, cfg)
+    params, want = reference_train(model, data, ood, cfg)
+    assert len(totals) == epochs * -(-n // batch)
     assert same_bits(trained.params, params)
     assert same_bits(totals, want)
