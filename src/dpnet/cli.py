@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -60,53 +61,23 @@ def _load_rows(
 
 def cmd_gen(cfg: cfgmod.ExperimentConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    ds = cfg.dataset
-    sets = {
-        "in_train.csv": data.gen_in_domain(ds.train, ds.classes, ds.seed),
-        "in_val.csv": data.gen_in_domain(ds.val, ds.classes, ds.seed + 1),
-        "in_test.csv": data.gen_in_domain(ds.test, ds.classes, ds.seed + 2),
-        "shifted_test.csv": data.gen_shifted(
-            ds.shifted_test, ds.classes, ds.shifted_seed, ds.shift, ds.scale
-        ),
-        "far_ood.csv": data.gen_far_ood(ds.far_ood, ds.far_ood_seed),
-    }
-    for name, examples in sets.items():
-        data.save_csv(out / name, examples)
-        print(f"wrote {out / name} ({len(examples)} rows)")
+    for name in cfgmod.GENERATED:
+        examples, path = cfg.dataset.draw(name), out / f"{name}.csv"
+        data.save_csv(path, examples)
+        print(f"wrote {path} ({len(examples)} rows)")
     return 0
 
 
-def _resolve_ood_sources(
-    cfg: cfgmod.ExperimentConfig, role: cfgmod.RoleConfig, out: Path, train_set: data.ExampleSet
-) -> list[data.ExampleSet]:
-    """One example set per configured source, in order.
-
-    far_ood comes from the generated file; shifted_train is a small
-    exposure sample drawn from the shifted distribution with its own
-    seed, disjoint from shifted_test.csv, and is never written to disk.
-    """
-    ds = cfg.dataset
-    sets = []
-    for source in role.ood_sources:
-        if source.name == "far_ood":
-            sets.append(_load_rows(
-                out / "far_ood.csv", train_set.dim, expect=f"{out / 'in_train.csv'} has"
-            ))
-        else:
-            sets.append(data.gen_shifted(
-                ds.shifted_train, ds.classes, ds.shifted_train_seed, ds.shift, ds.scale
-            ))
-    return sets
-
-
 def cmd_train(cfg: cfgmod.ExperimentConfig, role_name: str, out: Path) -> int:
+    """Train one role on in_train.csv and in_val.csv; its OOD exposure sets are drawn from the config."""
     role = getattr(cfg, role_name)
+    ood_sets = [cfg.dataset.draw(source.name) for source in role.ood_sources]
     classes, in_train = cfg.dataset.classes, out / "in_train.csv"
-    train_set = _load_rows(in_train, classes=classes)
+    # every draw has the generators' feature count
+    train_set = _load_rows(in_train, ood_sets[0].dim if ood_sets else None, classes, expect="exposure sets have")
     val_set = _load_rows(
         out / "in_val.csv", train_set.dim, classes, what="validation rows", expect=f"{in_train} has"
     )
-    ood_sets = _resolve_ood_sources(cfg, role, out, train_set)
 
     sizes = (train_set.dim, *cfg.model.hidden, classes)
     model = network.init_model(sizes, role.init_seed, cfg.model.activation)
@@ -194,15 +165,16 @@ def _screen_scores(models: _ModelPair, ckpts: list[str], path, features) -> pipe
 
 
 def _screening_thresholds(
-    cfg: cfgmod.ExperimentConfig, ckpts: list[str], models: _ModelPair, digests: tuple[str, str], out: Path
+    cfg: cfgmod.ExperimentConfig, ckpts: list[str], models: _ModelPair, digests: tuple[str, str], out: Path,
+    val_raw: bytes | None,
 ) -> pipeline.ScreeningThresholds:
-    """Stored thresholds while thresholds.json matches; else calibrate on in_val.csv's one read and rewrite it."""
+    """Stored thresholds while thresholds.json matches; else calibrate on in_val.csv, given as val_raw or read once."""
     path, val_path = out / _THRESHOLDS_FILE, out / "in_val.csv"
     try:  # read first: when both files are malformed, thresholds.json is the one refused
         stored = cfgmod.read_json(path, _StoredThresholds)
     except FileNotFoundError:  # none stored yet
         stored = None
-    val_raw = _read_dataset(val_path)
+    val_raw = _read_dataset(val_path) if val_raw is None else val_raw
     inputs = _calibration_inputs(cfg, digests, val_raw)
     if stored is not None and all(getattr(stored, key) == value for key, value in inputs.items()):
         return pipeline.ScreeningThresholds(tau_d=stored.tau_d, tau_c=stored.tau_c)
@@ -248,11 +220,18 @@ def cmd_screen(cfg: cfgmod.ExperimentConfig, ckpts: list[str], input_path: str, 
     and the file is rewritten. ``in_val.csv`` is read once; its digest, and
     its parse if any, come from those bytes. A malformed file, or logits that
     overflow, are refused, naming the file, before any file is written.
+    When ``input_path`` is ``in_val.csv`` itself, it is read once for both.
     """
     models, digests = _load_model_pair(ckpts)
-    examples = _load_rows(input_path, models[0].layer_sizes[0])
+    val_path = out / "in_val.csv"
+    try:  # by stat, opening neither file; a missing file is not the same file
+        same = os.path.samefile(input_path, val_path)
+    except OSError:
+        same = False
+    val_raw = _read_dataset(val_path) if same else None
+    examples = _load_rows(input_path, models[0].layer_sizes[0], raw=val_raw)
     scores = _screen_scores(models, ckpts, input_path, examples.features)
-    thresholds = _screening_thresholds(cfg, ckpts, models, digests, out)
+    thresholds = _screening_thresholds(cfg, ckpts, models, digests, out, val_raw)
     counts = _write_decisions(out / "decisions.csv", thresholds, [("", scores)])
     print(f"wrote {out / 'decisions.csv'}")
     for name, count in zip(_OUTCOME_NAMES, counts):

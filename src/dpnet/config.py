@@ -14,7 +14,7 @@ import sys
 import typing
 from dataclasses import dataclass, field
 
-from . import _atomic, losses, network, training
+from . import _atomic, data, losses, network, training
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -34,7 +34,21 @@ __all__ = [
 
 SCHEMA_VERSION = "dpn-exp-v1"
 
-# Names the training command can resolve to an OOD exposure set.
+# How each named dataset is drawn from a DatasetConfig: the one table of draws.
+_DRAWS = {
+    "in_train": lambda ds: data.gen_in_domain(ds.train, ds.classes, ds.seed),
+    "in_val": lambda ds: data.gen_in_domain(ds.val, ds.classes, ds.seed + 1),
+    "in_test": lambda ds: data.gen_in_domain(ds.test, ds.classes, ds.seed + 2),
+    "shifted_test": lambda ds: data.gen_shifted(ds.shifted_test, ds.classes, ds.shifted_seed, ds.shift, ds.scale),
+    # the rows gen writes to far_ood.csv, which eval scores: until the far exposure set gets a
+    # seed of its own, the detector is scored on the very far rows it was exposed to
+    "far_ood": lambda ds: data.gen_far_ood(ds.far_ood, ds.far_ood_seed),
+    "shifted_train": lambda ds: data.gen_shifted(
+        ds.shifted_train, ds.classes, ds.shifted_train_seed, ds.shift, ds.scale
+    ),
+}
+# gen writes each GENERATED set to <name>.csv, in order; train draws each OOD source a role names
+GENERATED = ("in_train", "in_val", "in_test", "shifted_test", "far_ood")
 KNOWN_SOURCES = ("far_ood", "shifted_train")
 
 
@@ -79,6 +93,10 @@ class DatasetConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.scale <= 0.0:
             raise ValueError("scale must be positive")
+
+    def draw(self, name: str) -> data.ExampleSet:
+        """The dataset ``name``, one of GENERATED or KNOWN_SOURCES, drawn from these settings."""
+        return _DRAWS[name](self)
 
 
 @dataclass(frozen=True)

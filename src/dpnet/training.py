@@ -79,13 +79,16 @@ class _Cycler:
 
 
 def evaluate_accuracy(model: FeedForwardModel, examples: ExampleSet) -> float:
-    """Fraction of examples whose argmax posterior matches the label."""
+    """Fraction of examples whose argmax posterior matches the label; logits that overflow raise RuntimeError."""
     if len(examples) == 0:
         raise ValueError("cannot evaluate on an empty set")
     if examples.labels is None:
         raise ValueError("accuracy needs labeled examples")
-    preds = forward_batch(model, examples.features).argmax(axis=1)
-    return float((preds == examples.labels).mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = forward_batch(model, examples.features)
+    if not np.isfinite(logits).all():
+        raise RuntimeError("non-finite logits on the rows evaluated for accuracy")
+    return float((logits.argmax(axis=1) == examples.labels).mean())
 
 
 def _check_labeled_set(model: FeedForwardModel, examples: ExampleSet, name: str) -> None:
@@ -99,6 +102,7 @@ def _check_labeled_set(model: FeedForwardModel, examples: ExampleSet, name: str)
         raise ValueError(f"{name} labels exceed the model's class count")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     model: FeedForwardModel,
     train_set: ExampleSet,
@@ -109,9 +113,9 @@ def train(
     """Run the multi-task objective for cfg.epochs and return (model, report).
 
     The input model is never mutated. With zero epochs the returned
-    parameters equal the input's; a non-finite loss, or non-finite
-    parameters or logits at the end of an epoch, abort with the
-    offending step in the message.
+    parameters equal the input's. Overflow raises no numpy warning: a
+    non-finite loss, or non-finite parameters or logits at the end of
+    an epoch, abort with the offending step in the message.
     """
     _check_labeled_set(model, train_set, "training")
     if val_set is not None:
@@ -165,14 +169,12 @@ def train(
             sums = [a + b for a, b in zip(sums, (result.total, result.in_loss, *result.ood_losses))]
             global_step += 1
 
-        # the loss check sees an update only at the next step, and the
-        # validation pass must not run on parameters that overflow: check
-        # them, and their logits on the epoch's last in-domain batch
+        # the loss check sees an update only at the next step: check the
+        # parameters, and their logits on the epoch's last in-domain batch
         if not np.isfinite(work.params).all():
             raise RuntimeError(f"non-finite parameters after step {global_step - 1}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(forward_batch(work, features[rows])).all():
-                raise RuntimeError(f"non-finite logits after step {global_step - 1}")
+        if not np.isfinite(forward_batch(work, features[rows])).all():
+            raise RuntimeError(f"non-finite logits after step {global_step - 1}")
         total, in_loss, *ood_losses = (a / steps_per_epoch for a in sums)
         report.loss_total.append(total)
         report.loss_in.append(in_loss)

@@ -560,9 +560,8 @@ def screen_argv(cfg: str, ckpts: list[str], out) -> list[str]:
 # every (command, input file) pair a command reads, with the defects that apply to it;
 # input.csv is the --input of screen and plot, and labels matter where train or eval uses them
 INPUT_DEFECTS = [
-    ("train", "in_train.csv", ("missing", "header-only", "unlabeled", "label-range", "huge-label")),
+    ("train", "in_train.csv", ("missing", "header-only", "wide", "unlabeled", "label-range", "huge-label")),
     ("train", "in_val.csv", ("missing", "header-only", "wide", "unlabeled", "label-range")),
-    ("train", "far_ood.csv", ("missing", "header-only", "wide")),
     ("eval", "in_val.csv", ("missing", "header-only", "wide")),
     ("eval", "in_test.csv", ("missing", "header-only", "wide")),
     ("eval", "shifted_test.csv", ("missing", "header-only", "wide", "unlabeled", "label-range")),
@@ -604,7 +603,9 @@ def test_cli_refuses_bad_input_before_writing(experiment, tmp_path, capsys, comm
             # a row of that many float64 values overflows numpy's size type
             "huge-width": f"features:{2**62},{header.split(',')[1]}\n",
         }[defect], errors="surrogateescape")
-    expect = f"{tmp_path / 'in_train.csv'} has" if command == "train" else "checkpoints expect"
+    expect = "checkpoints expect"
+    if command == "train":  # in_train.csv must match the exposure sets train draws; in_val.csv, in_train.csv
+        expect = "exposure sets have" if name == "in_train.csv" else f"{tmp_path / 'in_train.csv'} has"
     message = {
         "missing": f"missing dataset file {path}",
         "header-only": f"{path}: no {'validation ' if name == 'in_val.csv' else ''}rows",
@@ -707,6 +708,21 @@ def test_train_refuses_config_without_the_role(experiment, tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("far_ood", ["missing", "malformed"])
+def test_train_reads_no_far_ood_file(experiment, tmp_path, far_ood):
+    """train draws its OOD exposure sets from the config: with far_ood.csv removed or malformed,
+    both roles exit 0 and write the checkpoints and reports they write with it intact."""
+    for name in ("in_train.csv", "in_val.csv"):
+        (tmp_path / name).write_bytes((experiment["out"] / name).read_bytes())
+    if far_ood == "malformed":
+        (tmp_path / "far_ood.csv").write_bytes(b"features:3,label:0\n0.5,x\n")
+    for role in ("classifier", "detector"):
+        rc, stdout = run_cli(["train", "--config", experiment["cfg"], "--role", role, "--out", str(tmp_path)])
+        assert rc == 0, stdout
+        for name in (f"{role}.ckpt", f"{role}_report.json"):
+            assert (tmp_path / name).read_bytes() == (experiment["out"] / name).read_bytes(), name
+
+
 def test_refused_command_creates_no_out_dir(experiment, tmp_path):
     out, absent = experiment["out"], tmp_path / "absent"
     ckpts = ["--checkpoint", str(out / "classifier.ckpt"), "--checkpoint", str(out / "detector.ckpt")]
@@ -747,6 +763,24 @@ def test_screen_reuses_thresholds_byte_for_byte(experiment, tmp_path):
         assert blob[key] == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert (blob["drop_fraction_detector"], blob["drop_fraction_classifier"]) == (0.05, 0.01)
     assert all(math.isfinite(blob[key]) for key in ("tau_d", "tau_c"))
+
+
+@pytest.mark.parametrize("when", ["cold", "warm"])
+def test_screen_of_in_val_matches_a_screen_of_its_copy(experiment, tmp_path, when):
+    """screen --input <out>/in_val.csv, which reads that file once for both the decisions and
+    the thresholds, writes what a screen of a byte copy of it writes."""
+    ckpts = copy_run(experiment, tmp_path)
+    copy = tmp_path / "in_val_copy.csv"
+    copy.write_bytes((tmp_path / "in_val.csv").read_bytes())
+    screen = ["screen", "--config", experiment["cfg"], *ckpts, "--out", str(tmp_path), "--input"]
+    rc, stdout = run_cli([*screen, str(copy)])
+    assert rc == 0
+    written = {name: (tmp_path / name).read_bytes() for name in ("decisions.csv", "thresholds.json")}
+    if when == "cold":
+        (tmp_path / "thresholds.json").unlink()
+    (tmp_path / "decisions.csv").unlink()
+    assert run_cli([*screen, str(tmp_path / "in_val.csv")]) == (0, stdout)
+    assert {name: (tmp_path / name).read_bytes() for name in written} == written
 
 
 def plant_thresholds(path, **changes) -> bytes:
@@ -1064,6 +1098,32 @@ def test_screen_refuses_a_checkpoint_gone_after_a_warm_screen(experiment, tmp_pa
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
+@pytest.fixture(scope="module", params=["in_train.csv", "in_val.csv"])
+def train_run(experiment, tmp_path_factory, request):
+    """A copy of in_train.csv and in_val.csv with a one-epoch detector: train's argv, one of the
+    two files and its bytes."""
+    out = tmp_path_factory.mktemp(f"train-{request.param}")
+    for name in ("in_train.csv", "in_val.csv"):
+        (out / name).write_bytes((experiment["out"] / name).read_bytes())
+    cfg = small_config(str(out))
+    save_config(dataclasses.replace(cfg, detector=dataclasses.replace(cfg.detector, epochs=1)), out / "config.json")
+    argv = ["train", "--config", str(out / "config.json"), "--role", "detector", "--out", str(out)]
+    return argv, out / request.param, (out / request.param).read_bytes()
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(byte_edit, min_size=1, max_size=3))
+# a first row of finite features whose forward pass overflows
+@example([(len(b"features:2,label:1\n"), 0, b"1.7e308,1.7e308,0\n")])
+def test_train_survives_any_dataset_file(train_run, edits):
+    """An edited in_train.csv or in_val.csv is trained on, refused at its path, or refused by
+    train's own checks for non-finite values."""
+    path = train_run[1]
+    own = "non-finite (training loss|parameters|logits) "
+    refused = rf"error: ({re.escape(str(path))}:|missing dataset file |{own})"
+    screen_survives(*train_run, edits, refused)
+
+
 def test_screen_without_validation_file_fails_cold_and_warm(experiment, tmp_path, capsys):
     ckpts = copy_run(experiment, tmp_path)
     screen = screen_argv(experiment["cfg"], ckpts, tmp_path)
@@ -1170,7 +1230,9 @@ def test_repeated_screen_builds_nothing_again(experiment, tmp_path, monkeypatch)
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("command", ["train", "cold-screen", "warm-screen", "eval", "plot"])
+@pytest.mark.parametrize("command", [
+    "train", "cold-screen", "warm-screen", "cold-screen-in_val", "warm-screen-in_val", "eval", "plot",
+])
 def test_each_call_opens_each_file_once(experiment, tmp_path, monkeypatch, command):
     """One call opens each file it reads once, so no file replaced during the call can give one
     read's bytes to a digest and another's to a parse."""
@@ -1179,17 +1241,21 @@ def test_each_call_opens_each_file_once(experiment, tmp_path, monkeypatch, comma
     cfg, out = experiment["cfg"], ["--out", str(tmp_path)]
     screen = screen_argv(cfg, ckpts, tmp_path)
     screen_reads = [cfg, ckpts[1], ckpts[3], "shifted_test.csv", "thresholds.json", "in_val.csv"]
+    screen_in_val = ["screen", "--config", cfg, *ckpts, "--input", str(tmp_path / "in_val.csv"), *out]
     # each call's argv and the files it reads: absolute paths, or names in tmp_path
     argv, reads = {
         "train": (["train", "--config", cfg, "--role", "detector", *out],
-                  [cfg, "in_train.csv", "in_val.csv", "far_ood.csv"]),
+                  [cfg, "in_train.csv", "in_val.csv"]),
         "cold-screen": (screen, screen_reads),
         "warm-screen": (screen, screen_reads),
+        # the --input that is in_val.csv is read once, for the decisions and the thresholds
+        "cold-screen-in_val": (screen_in_val, screen_reads[:3] + screen_reads[4:]),
+        "warm-screen-in_val": (screen_in_val, screen_reads[:3] + screen_reads[4:]),
         "eval": (["eval", "--config", cfg, *ckpts, *out],
                  [cfg, ckpts[1], ckpts[3], "in_val.csv", "in_test.csv", "shifted_test.csv", "far_ood.csv"]),
         "plot": (["plot", *ckpts[:2], "--input", str(tmp_path / "in_test.csv"), *out], [ckpts[1], "in_test.csv"]),
     }[command]
-    if command == "warm-screen":
+    if command.startswith("warm-screen"):
         assert run_cli(argv)[0] == 0
     opened = []
     real_open = open

@@ -213,6 +213,9 @@ def test_evaluate_accuracy_validation_and_value():
         evaluate_accuracy(model, ExampleSet(data.features))
     with pytest.raises(ValueError):
         evaluate_accuracy(model, ExampleSet(np.zeros((0, 2)), np.zeros(0, dtype=int)))
+    # a finite row whose logits overflow is refused without a numpy warning (the suite makes those errors)
+    with pytest.raises(RuntimeError, match="^non-finite logits"):
+        evaluate_accuracy(model, ExampleSet(np.full((1, 2), -1.7e308), np.zeros(1, dtype=int)))
 
 
 def test_report_to_dict_roundtrips_through_json():
