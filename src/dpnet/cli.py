@@ -72,16 +72,17 @@ def cmd_train(cfg: cfgmod.ExperimentConfig, role_name: str, out: Path) -> int:
     """Train one role on in_train.csv and in_val.csv; its OOD exposure sets are drawn from the config."""
     role = getattr(cfg, role_name)
     ood_sets = [cfg.dataset.draw(source.name) for source in role.ood_sources]
-    classes, in_train = cfg.dataset.classes, out / "in_train.csv"
+    classes, in_train, in_val = cfg.dataset.classes, out / "in_train.csv", out / "in_val.csv"
     # every draw has the generators' feature count
     train_set = _load_rows(in_train, ood_sets[0].dim if ood_sets else None, classes, expect="exposure sets have")
-    val_set = _load_rows(
-        out / "in_val.csv", train_set.dim, classes, what="validation rows", expect=f"{in_train} has"
-    )
+    val_set = _load_rows(in_val, train_set.dim, classes, what="validation rows", expect=f"{in_train} has")
 
     sizes = (train_set.dim, *cfg.model.hidden, classes)
     model = network.init_model(sizes, role.init_seed, cfg.model.activation)
-    trained, report = training.train(model, train_set, ood_sets, role.train_config(), val_set)
+    try:
+        trained, report = training.train(model, train_set, ood_sets, role.train_config(), val_set)
+    except training.NonFiniteValidation as exc:
+        raise RuntimeError(f"{in_val}: {exc}") from None
 
     ckpt = out / f"{role_name}.ckpt"
     network.save_checkpoint(trained, ckpt)
@@ -373,8 +374,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "screen":
             return cmd_screen(cfg, args.checkpoint, args.input, out)
         return cmd_eval(cfg, args.checkpoint, out)  # the parser admits no other command
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:  # MemoryError: an input asked for too much
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

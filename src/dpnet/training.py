@@ -18,7 +18,7 @@ from .data import ExampleSet
 from .losses import ObjectiveConfig, objective_batch
 from .network import FeedForwardModel, forward_batch
 
-__all__ = ["TrainConfig", "TrainReport", "train", "evaluate_accuracy"]
+__all__ = ["TrainConfig", "TrainReport", "NonFiniteValidation", "train", "evaluate_accuracy"]
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,18 @@ def evaluate_accuracy(model: FeedForwardModel, examples: ExampleSet) -> float:
     return float((logits.argmax(axis=1) == examples.labels).mean())
 
 
+class NonFiniteValidation(RuntimeError):
+    """train's validation pass gave non-finite logits; the message names the step."""
+
+
+def _val_accuracy(model: FeedForwardModel, val_set: ExampleSet, when: str) -> float:
+    """evaluate_accuracy on the validation set; logits that overflow raise NonFiniteValidation naming ``when``."""
+    try:
+        return evaluate_accuracy(model, val_set)
+    except RuntimeError:
+        raise NonFiniteValidation(f"non-finite logits on the validation rows {when}") from None
+
+
 def _check_labeled_set(model: FeedForwardModel, examples: ExampleSet, name: str) -> None:
     if examples.labels is None:
         raise ValueError(f"{name} set must be labeled")
@@ -115,7 +127,8 @@ def train(
     The input model is never mutated. With zero epochs the returned
     parameters equal the input's. Overflow raises no numpy warning: a
     non-finite loss, or non-finite parameters or logits at the end of
-    an epoch, abort with the offending step in the message.
+    an epoch, abort with the offending step in the message; logits that
+    overflow on the validation set raise NonFiniteValidation.
     """
     _check_labeled_set(model, train_set, "training")
     if val_set is not None:
@@ -181,8 +194,10 @@ def train(
         for trace, mean in zip(report.loss_ood, ood_losses):
             trace.append(mean)
         if val_set is not None:
-            report.val_accuracy.append(evaluate_accuracy(work, val_set))
+            report.val_accuracy.append(_val_accuracy(work, val_set, f"after step {global_step - 1}"))
 
-    if val_set is not None:
-        report.final_val_accuracy = evaluate_accuracy(work, val_set)
+    if val_set is not None:  # the last epoch's pass already scored the returned parameters
+        report.final_val_accuracy = (
+            report.val_accuracy[-1] if report.val_accuracy else _val_accuracy(work, val_set, "before step 0")
+        )
     return work, report

@@ -70,7 +70,7 @@ def test_config_dict_roundtrip_preserves_everything():
 
 def test_config_rejects_other_schema_versions():
     blob = to_dict(default_config())
-    blob["schema_version"] = "dpn-exp-v2"
+    blob["schema_version"] = "dpn-exp-v1"
     with pytest.raises(ValueError, match="schema_version"):
         from_dict(blob)
 
@@ -121,9 +121,10 @@ def test_config_errors_name_the_key_path(tmp_path):
         (("dataset", "far_ood"), 0, "dataset: far_ood must be >= 1"),
         # numpy's generators refuse negative seeds only once gen or train runs
         (("dataset", "seed"), -1, "dataset: seed must be >= 0"),
-        (("dataset", "shifted_seed"), -1, "dataset: shifted_seed must be >= 0"),
-        (("dataset", "shifted_train_seed"), -1, "dataset: shifted_train_seed must be >= 0"),
-        (("dataset", "far_ood_seed"), -1, "dataset: far_ood_seed must be >= 0"),
+        # every set's seed is derived from dataset.seed; the per-set seeds of dpn-exp-v1 are gone
+        (("dataset", "shifted_seed"), -1, "unknown key 'shifted_seed' in dataset"),
+        (("dataset", "shifted_train_seed"), -1, "unknown key 'shifted_train_seed' in dataset"),
+        (("dataset", "far_ood_seed"), -1, "unknown key 'far_ood_seed' in dataset"),
         (("classifier", "seed"), -1, "classifier: seed must be >= 0"),
         (("detector", "init_seed"), -1, "detector: init_seed must be >= 0"),
         (("model", "activation"), "swish", "model: unknown activation 'swish'"),
@@ -280,6 +281,30 @@ def test_component_validation():
         EvalConfig(drop_fractions=())
     with pytest.raises(ValueError):
         EvalConfig(drop_fractions=(0.5, 1.0))
+
+
+@pytest.mark.parametrize("seed", [7, 47, 117, 2**32 + 5])
+def test_every_draw_keeps_its_stream(seed):
+    """Each set is drawn from dataset.seed + k, with the k that dpn-exp-v1's default seeds had.
+
+    Seeds 7, 47 and 117 are the seed sweep's s = 0, 4 and 11; the last is past 2**32.
+    """
+    ds = DatasetConfig(seed=seed)
+    expected = {
+        "in_train": data.gen_in_domain(ds.train, ds.classes, seed),
+        "in_val": data.gen_in_domain(ds.val, ds.classes, seed + 1),
+        "in_test": data.gen_in_domain(ds.test, ds.classes, seed + 2),
+        "shifted_test": data.gen_shifted(ds.shifted_test, ds.classes, seed + 1, ds.shift, ds.scale),
+        "shifted_train": data.gen_shifted(ds.shifted_train, ds.classes, seed + 2, ds.shift, ds.scale),
+        "far_ood": data.gen_far_ood(ds.far_ood, seed + 3),
+    }
+    assert set(expected) == set(config.GENERATED) | set(config.KNOWN_SOURCES)
+    for name, want in expected.items():
+        got = ds.draw(name)
+        assert got.features.tobytes() == want.features.tobytes(), name
+        assert (got.labels is None) == (want.labels is None), name
+        if want.labels is not None:
+            assert np.array_equal(got.labels, want.labels), name
 
 
 def test_role_train_config_is_the_one_train_builds():
@@ -666,6 +691,45 @@ def test_train_refuses_parameters_whose_logits_overflow(experiment, tmp_path, ca
     assert rc == 1
     assert capsys.readouterr().err == "error: non-finite logits after step 0\n"
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("role", ["classifier", "detector"])
+def test_train_names_in_val_whose_logits_overflow(experiment, tmp_path, capsys, role):
+    """A finite in_val.csv row whose logits overflow: exit 1 naming in_val.csv and the step after
+    which it was scored, and no checkpoint or report is written."""
+    for name in ("in_train.csv", "in_val.csv"):
+        (tmp_path / name).write_bytes((experiment["out"] / name).read_bytes())
+    in_val = tmp_path / "in_val.csv"
+    header, rows = in_val.read_bytes().split(b"\n", 1)
+    in_val.write_bytes(header + b"\n1.7e308,1.7e308,0\n" + rows)
+    cfg = small_config(str(tmp_path))
+    # relu, because tanh keeps every hidden value in [-1, 1] and so the logits finite
+    save_config(dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, activation="relu")),
+                tmp_path / "config.json")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(tmp_path / "config.json"), "--role", role]) == 1
+    last_step = -(-cfg.dataset.train // getattr(cfg, role).batch_size) - 1  # the first epoch's
+    assert capsys.readouterr().err == f"error: {in_val}: non-finite logits on the validation rows after step {last_step}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_plot_refuses_a_grid_too_large_to_allocate(experiment, tmp_path):
+    """plot --resolution 100000 needs a 75 GiB array: exit 1 with one error line, no traceback
+    and no --out directory. The child caps its address space at 3 GiB, so the allocation fails
+    at once instead of paging the host."""
+    cap = "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))"
+    argv = ["plot", "--checkpoint", str(experiment["out"] / "classifier.ckpt"),
+            "--input", str(experiment["out"] / "in_test.csv"), "--out", str(tmp_path / "plot"),
+            "--resolution", "100000"]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{cap}; from dpnet import cli; sys.exit(cli.main(sys.argv[1:]))", *argv],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert re.fullmatch(r"error: Unable to allocate [^\n]+\n", proc.stderr), proc.stderr
+    assert not (tmp_path / "plot").exists()
 
 
 @pytest.mark.parametrize("command", ["screen", "eval", "plot"])

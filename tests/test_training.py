@@ -11,7 +11,7 @@ import dpnet.training
 from dpnet.data import ExampleSet, gen_far_ood, gen_in_domain
 from dpnet.losses import ObjectiveConfig, OodTerm, objective_batch
 from dpnet.network import _param_views, forward_batch, init_model
-from dpnet.training import TrainConfig, TrainReport, _Cycler, evaluate_accuracy, train
+from dpnet.training import NonFiniteValidation, TrainConfig, TrainReport, _Cycler, evaluate_accuracy, train
 
 PLAIN = ObjectiveConfig(lambda_in=0.0, ood_terms=())
 
@@ -154,6 +154,33 @@ def test_zero_epochs_with_validation_reports_initial_accuracy():
     trained, report = train(model, data, [], cfg, val_set=val)
     assert report.final_val_accuracy == evaluate_accuracy(trained, val)
     assert report.val_accuracy == []
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 3])
+def test_validation_runs_once_per_epoch(monkeypatch, epochs):
+    """One validation pass per epoch, the last one giving final_val_accuracy; one pass at zero epochs."""
+    calls = []
+
+    def counted(model, examples):
+        calls.append(model.params.copy())
+        return evaluate_accuracy(model, examples)
+
+    monkeypatch.setattr(dpnet.training, "evaluate_accuracy", counted)
+    data, val = gen_in_domain(40, 3, seed=39), gen_in_domain(30, 3, seed=40)
+    cfg = TrainConfig(PLAIN, epochs=epochs, batch_size=16, learning_rate=0.1, seed=41)
+    trained, report = train(init_model((2, 8, 3), seed=42), data, [], cfg, val_set=val)
+    assert len(calls) == max(epochs, 1)
+    assert same_bits(calls[-1], trained.params)
+    assert report.final_val_accuracy == evaluate_accuracy(trained, val)
+
+
+@pytest.mark.parametrize("epochs, when", [(0, "before step 0"), (2, "after step 2")])
+def test_validation_overflow_names_the_step(epochs, when):
+    data = gen_in_domain(24, 3, seed=43)
+    val = ExampleSet(np.full((2, 2), -1.7e308), np.zeros(2, dtype=int))
+    cfg = TrainConfig(PLAIN, epochs=epochs, batch_size=8, learning_rate=0.1, seed=44)
+    with pytest.raises(NonFiniteValidation, match=f"^non-finite logits on the validation rows {when}$"):
+        train(init_model((2, 8, 3), seed=45), data, [], cfg, val_set=val)
 
 
 def test_divergence_reports_step_number():
