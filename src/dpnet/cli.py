@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import itertools
+import math
 import os
 import sys
 from pathlib import Path
@@ -263,7 +264,6 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
         name: _screen_scores(models, ckpts, out / f"{name}.csv", examples.features)
         for name, examples in sets.items()
     }
-    s_val = scores["in_val"].s_d
 
     inputs = _calibration_inputs(cfg, digests, val_raw)
     thresholds = _calibrate(cfg, inputs, scores["in_val"], out / _THRESHOLDS_FILE)
@@ -271,8 +271,8 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
         (f"{name}/", scores[name]) for name in ("in_test", "shifted_test", "far_ood")
     ])
 
-    # a list, not a dict: each drop fraction, repeated or not, keeps its line
-    taus = [(p, pipeline.calibrate_threshold(s_val, p)) for p in cfg.evaluation.drop_fractions]
+    # calibrated once for both reports; a list, not a dict: each drop fraction, repeated or not, keeps its line
+    taus = [(p, pipeline.calibrate_threshold(scores["in_val"].s_d, p)) for p in cfg.evaluation.drop_fractions]
     rate_lines = [
         f"{name},{_fmt(p)},{_fmt(pipeline.ood_detection_rate(scores[name].s_d, tau))}"
         for name in ("shifted_test", "far_ood") for p, tau in taus
@@ -281,12 +281,9 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
         fh.write(("\n".join(["dataset,drop_fraction,detection_rate"] + rate_lines) + "\n").encode())
 
     shifted = scores["shifted_test"]
+    # drop fraction 0.0 keeps every row
     rows = pipeline.discard_and_rescore(
-        shifted.referable,
-        sets["shifted_test"].labels,
-        shifted.s_d,
-        s_val,
-        (0.0, *cfg.evaluation.drop_fractions),
+        shifted.referable, sets["shifted_test"].labels, shifted.s_d, [(0.0, math.inf), *taus]
     )
     rescore_lines = [f"{_fmt(r.drop_fraction)},{r.retained},{_fmt(r.auroc)}" for r in rows]
     with _atomic.write(out / "rescore_auroc.csv") as fh:

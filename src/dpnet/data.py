@@ -1,10 +1,10 @@
 """Synthetic benchmark data, CSV serialization, and the median filter.
 
 In-domain data is K unit-variance Gaussian clusters centered on a
-radius-4 circle. The shifted generator reuses the same code path with
-translated centers and rescaled features (a mild covariate-shift
-analog); the far generator samples a radius-12 ring, well clear of the
-clusters. All randomness flows from explicit seeds.
+radius-4 circle. It is the shifted generator at shift 0 and scale 1;
+other settings translate the centers and rescale the features (a mild
+covariate-shift analog). The far generator samples a radius-12 ring,
+well clear of the clusters. All randomness flows from explicit seeds.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ def _cluster_centers(classes: int) -> np.ndarray:
     return CLUSTER_RADIUS * np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-def _gen_clusters(n: int, classes: int, seed: int, shift: float, scale: float) -> ExampleSet:
+def gen_shifted(n: int, classes: int, seed: int, shift: float, scale: float) -> ExampleSet:
+    """Cluster mixture with centers translated by (shift, shift) and features scaled."""
     if classes < 2:
         raise ValueError("need at least 2 classes")
     if n < classes:
@@ -93,12 +94,7 @@ def _gen_clusters(n: int, classes: int, seed: int, shift: float, scale: float) -
 
 def gen_in_domain(n: int, classes: int, seed: int) -> ExampleSet:
     """Balanced labeled sample from the in-domain cluster mixture."""
-    return _gen_clusters(n, classes, seed, shift=0.0, scale=1.0)
-
-
-def gen_shifted(n: int, classes: int, seed: int, shift: float, scale: float) -> ExampleSet:
-    """Cluster mixture with centers translated by (shift, shift) and features scaled."""
-    return _gen_clusters(n, classes, seed, shift=shift, scale=scale)
+    return gen_shifted(n, classes, seed, shift=0.0, scale=1.0)
 
 
 def gen_far_ood(n: int, seed: int) -> ExampleSet:

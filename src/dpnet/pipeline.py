@@ -84,10 +84,8 @@ def _block_scores(Z: np.ndarray, kind: ScoreKind) -> tuple[np.ndarray, np.ndarra
     referable = alpha[:, REFERABLE_CLASS] / a0
     if kind is ScoreKind.MUTUAL_INFORMATION:
         return _mutual_information_rows(alpha), referable
-    if kind is ScoreKind.ENTROPY:
-        p = alpha / a0[:, None]
-        return -(p * np.log(p)).sum(axis=1), referable
-    raise ValueError(f"unknown score kind {kind!r}")
+    p = alpha / a0[:, None]
+    return -(p * np.log(p)).sum(axis=1), referable
 
 
 _SCORE_BLOCK = 256  # fixed so a row's score never depends on the input size
@@ -98,15 +96,17 @@ _SCORE_BLOCK = 256  # fixed so a row's score never depends on the input size
 _SCORE_CHUNK = 32 * _SCORE_BLOCK
 
 
-def _score_rows(model: FeedForwardModel, features: np.ndarray, kind: ScoreKind):
+def _score_rows(model: FeedForwardModel, features: np.ndarray, kind: ScoreKind | str):
     """(score, predicted class, referable posterior) of every row, in row order.
 
     Logits come from one forward pass per fixed 256-row block; the
     Dirichlet math then runs once per 8192-row chunk of them. Every
     floating-point reduction has a fixed shape per row, so the results
     are the same whatever the number of rows. A non-finite logit raises
-    NonFiniteLogits, without a numpy warning.
+    NonFiniteLogits, without a numpy warning. ``kind`` may be a ScoreKind's
+    wire value; an unknown kind raises ValueError before any row is scored.
     """
+    kind = ScoreKind(kind)
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise ValueError("features must be a 2-D array")
@@ -126,7 +126,7 @@ def _score_rows(model: FeedForwardModel, features: np.ndarray, kind: ScoreKind):
     return score, predicted, referable
 
 
-def score_set(model: FeedForwardModel, features: np.ndarray, kind: ScoreKind) -> np.ndarray:
+def score_set(model: FeedForwardModel, features: np.ndarray, kind: ScoreKind | str) -> np.ndarray:
     """Scores for every row of a feature matrix, in row order (see ``_score_rows``)."""
     return _score_rows(model, features, kind)[0]
 
@@ -214,41 +214,32 @@ def ood_detection_rate(scores, tau: float) -> float:
     return float((arr > tau).mean())
 
 
-def discard_and_rescore(
-    referable_prob,
-    labels,
-    s_test,
-    s_val,
-    drop_fractions,
-) -> list[RescoreRow]:
+def discard_and_rescore(referable_prob, labels, s_test, taus) -> list[RescoreRow]:
     """Referable-vs-rest AUROC on what survives detector-based discarding.
 
     ``referable_prob`` is the classifier's posterior for the referable
     class on each test example, ``labels`` their labels, and ``s_test``
-    and ``s_val`` the detector's scores on the test and in-domain
-    validation sets. For each fraction p the detector threshold is
-    calibrated on ``s_val`` (p = 0 keeps everything); the AUROC is taken
-    over the retained test examples. A fraction whose retained set lacks
+    the detector's scores on the test set. ``taus`` holds the caller's
+    (drop fraction, detector threshold) pairs; each keeps the test
+    examples scoring at or below its threshold (inf keeps everything),
+    and the AUROC is taken over them. A pair whose retained set lacks
     one of the two groups gets auroc = nan rather than an error.
     """
     if labels is None:
         raise ValueError("test set must be labeled")
-    referable_prob, s_test = np.asarray(referable_prob), np.asarray(s_test)
-    if s_test.size == 0 or np.size(s_val) == 0:
-        raise ValueError("test and validation sets must not be empty")
+    # finite, so that tau = inf keeps every example
+    referable_prob, s_test = np.asarray(referable_prob), _score_array(s_test)
     if referable_prob.shape != s_test.shape or np.shape(labels) != s_test.shape:
         raise ValueError("test scores, posteriors and labels must have one entry per example")
-    fractions = [float(p) for p in drop_fractions]
-    if any(not 0.0 <= p < 1.0 for p in fractions):
-        raise ValueError("drop fractions must lie in [0, 1)")
 
     is_referable = np.asarray(labels) == REFERABLE_CLASS
     rows = []
-    for p in fractions:
-        tau = math.inf if p == 0.0 else calibrate_threshold(s_val, p)
+    for p, tau in taus:
+        if math.isnan(tau):
+            raise ValueError("thresholds must not be nan")
         keep = s_test <= tau
         pos = referable_prob[keep & is_referable]
         neg = referable_prob[keep & ~is_referable]
         value = auroc(neg, pos) if pos.size and neg.size else math.nan
-        rows.append(RescoreRow(p, int(keep.sum()), value))
+        rows.append(RescoreRow(float(p), int(keep.sum()), value))
     return rows

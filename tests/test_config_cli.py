@@ -249,6 +249,21 @@ def test_every_writer_replaces_the_file_whole(tmp_path, capsys, writer):
         assert [p.name for p in out.iterdir()] == [name]
 
 
+@pytest.mark.parametrize("error", [ValueError("bad row"), KeyboardInterrupt()])
+def test_atomic_write_passes_other_exceptions_through(tmp_path, error):
+    """An exception other than OSError in the block comes through unchanged,
+    and leaves the old file and no temp file."""
+    path = tmp_path / "artifact.csv"
+    path.write_bytes(b"old bytes\n")
+    with pytest.raises(type(error)) as raised:
+        with _atomic.write(path) as fh:
+            fh.write(b"new bytes\n")
+            raise error
+    assert raised.value is error
+    assert path.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
+
+
 def test_config_invalid_json_reports_path(tmp_path):
     path = tmp_path / "broken.json"
     save_config(default_config(), path)
@@ -469,6 +484,33 @@ def test_eval_rescore_table_schema(experiment):
     retained = [int(r[1]) for r in rows]
     assert retained == sorted(retained, reverse=True)
     assert all(0.0 <= float(r[2]) <= 1.0 for r in rows)
+
+
+def test_eval_reports_agree_on_every_drop_fraction(experiment):
+    """At each drop fraction, rescore_auroc.csv retains the shifted_test rows that
+    detection_rates.csv does not flag; drop fraction 0.0 retains every row."""
+    out = experiment["out"]
+    n = len(load_csv(out / "shifted_test.csv"))
+    rates = [line.split(",") for line in (out / "detection_rates.csv").read_text().splitlines()[1:]]
+    unflagged = [(float(p), n - round(float(rate) * n)) for name, p, rate in rates if name == "shifted_test"]
+    rescore = [line.split(",") for line in (out / "rescore_auroc.csv").read_text().splitlines()[1:]]
+    assert [(float(p), int(kept)) for p, kept, _ in rescore] == [(0.0, n), *unflagged]
+    assert any(kept < n for _, kept in unflagged)
+
+
+def test_eval_calibrates_each_threshold_once(experiment, tmp_path, monkeypatch):
+    """eval calibrates tau_d, tau_c and one detector threshold per drop fraction, each once:
+    the rescoring reuses the thresholds the detection rates were computed at."""
+    calls = []
+    calibrate = pipeline.calibrate_threshold
+    monkeypatch.setattr(pipeline, "calibrate_threshold", lambda scores, p: calls.append(p) or calibrate(scores, p))
+    ckpts = copy_run(experiment, tmp_path)
+    assert run_cli(["eval", "--config", experiment["cfg"], *ckpts, "--out", str(tmp_path)])[0] == 0
+    cfg = load_config(experiment["cfg"])
+    fractions = [cfg.screening.drop_fraction_detector, cfg.screening.drop_fraction_classifier]
+    assert calls == [*fractions, *cfg.evaluation.drop_fractions]
+    for name in ("detection_rates.csv", "rescore_auroc.csv"):
+        assert (tmp_path / name).read_bytes() == (experiment["out"] / name).read_bytes()
 
 
 def test_plot_writes_density_grid(experiment, tmp_path):

@@ -62,6 +62,15 @@ def test_gen_in_domain_validation():
         gen_in_domain(2, 3, seed=0)
     with pytest.raises(ValueError):
         gen_in_domain(10, 1, seed=0)
+    # gen_in_domain is gen_shifted at shift 0 and scale 1; gen_shifted also refuses a bad shift or scale
+    for shift in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="shift must be finite"):
+            gen_shifted(30, 3, seed=0, shift=shift, scale=1.0)
+    for scale in (0.0, -1.0):
+        with pytest.raises(ValueError, match="scale positive"):
+            gen_shifted(30, 3, seed=0, shift=0.0, scale=scale)
+    with pytest.raises(ValueError, match="at least one example"):
+        gen_far_ood(0, seed=0)
 
 
 def test_gen_shifted_identity_settings_match_in_domain():

@@ -113,6 +113,12 @@ def test_objective_input_validation():
     cfg = ObjectiveConfig(0.1, (OodTerm(0.5, -1.0),))
     with pytest.raises(ValueError):
         objective_batch(model, np.zeros((0, 2)), np.zeros(0, dtype=int), [X], cfg)
+    with pytest.raises(ValueError, match=r"in_features must have shape \(n, 2\)"):
+        objective_batch(model, np.zeros((2, 3)), y, [X], cfg)
+    with pytest.raises(ValueError, match="in_labels must match in_features rows"):
+        objective_batch(model, X, np.zeros(3, dtype=int), [X], cfg)
+    with pytest.raises(ValueError, match=r"OOD batch must have shape \(m, 2\)"):
+        objective_batch(model, X, y, [np.zeros(2)], cfg)
     with pytest.raises(ValueError):
         objective_batch(model, X, y, [], cfg)  # batch count mismatch
     with pytest.raises(ValueError):

@@ -79,8 +79,25 @@ def test_dimension_errors():
         forward(model, [math.inf, 0.0])
     with pytest.raises(ValueError):
         forward_batch(model, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="X must be finite"):
+        forward_batch(model, np.array([[0.0, 1.0], [np.nan, 0.0]]))
     with pytest.raises(ValueError):
         backward(model, [1.0, 2.0], [0.1, 0.2])  # dL_dz length 2, K = 3
+    with pytest.raises(ValueError, match="dL_dz must be finite"):
+        backward(model, [1.0, 2.0], [0.1, math.inf, 0.2])
+
+
+def test_model_constructor_validation():
+    weights, biases = [np.eye(2), np.ones((3, 2))], [np.zeros(2), np.zeros(3)]
+    assert FeedForwardModel((2, 2, 3), weights, biases).num_classes == 3
+    with pytest.raises(ValueError, match="unknown activation 'swish'"):
+        FeedForwardModel((2, 2, 3), weights, biases, "swish")
+    with pytest.raises(ValueError, match="do not match layer_sizes"):
+        FeedForwardModel((2, 2, 3), weights[:1], biases)
+    with pytest.raises(ValueError, match="layer 1: parameter shape mismatch"):
+        FeedForwardModel((2, 2, 3), weights, [biases[0], np.zeros(2)])
+    with pytest.raises(ValueError, match="parameters must be finite"):
+        FeedForwardModel((2, 2, 3), [weights[0], np.full((3, 2), np.nan)], biases)
 
 
 def test_init_model_seeded_and_scaled():
@@ -209,6 +226,10 @@ def test_checkpoint_rejects_corruption(tmp_path):
     truncated.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="bytes"):
         load_checkpoint(truncated)
+    for head in (b"", b"dpnet-v1\n"):
+        truncated.write_bytes(head)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(truncated))}: truncated checkpoint header$"):
+            load_checkpoint(truncated)
 
     bad_sizes = tmp_path / "sizes.ckpt"
     bad_sizes.write_bytes(b"dpnet-v1\n2,banana,3\nrelu\n" + raw.split(b"\n", 3)[3])

@@ -134,6 +134,13 @@ def test_score_set_shapes():
     assert score_set(model, np.zeros((0, 2)), ScoreKind.ENTROPY).shape == (0,)
     with pytest.raises(ValueError):
         score_set(model, np.zeros(4), ScoreKind.ENTROPY)
+    # a kind's wire value scores as the kind; an unknown kind is refused, on no rows too
+    X = np.random.default_rng(57).normal(0.0, 3.0, (10, 2))
+    for kind in ScoreKind:
+        assert np.array_equal(score_set(model, X, kind.value), score_set(model, X, kind)), kind
+    for rows in (X, X[:0]):
+        with pytest.raises(ValueError, match="'variance' is not a valid ScoreKind"):
+            score_set(model, rows, "variance")
 
 
 def test_calibrate_threshold_known_ranks():
@@ -377,11 +384,13 @@ def test_discard_and_rescore_baseline_row(classifier, detector):
     prob = referable_posterior(classifier, test.features)
     s_test = score_set(detector, test.features, ScoreKind.MUTUAL_INFORMATION)
     s_val = score_set(detector, val.features, ScoreKind.MUTUAL_INFORMATION)
-    rows = discard_and_rescore(prob, test.labels, s_test, s_val, (0.0, 0.05, 0.1, 0.2))
+    taus = [(0.0, math.inf), *((p, calibrate_threshold(s_val, p)) for p in (0.05, 0.1, 0.2))]
+    rows = discard_and_rescore(prob, test.labels, s_test, taus)
     assert [r.drop_fraction for r in rows] == [0.0, 0.05, 0.1, 0.2]
     assert rows[0].retained == 90
     retained = [r.retained for r in rows]
     assert retained == sorted(retained, reverse=True)
+    assert retained == [int((s_test <= tau).sum()) for _, tau in taus]
 
     want = auroc(prob[test.labels != 0], prob[test.labels == 0])
     assert rows[0].auroc == want
@@ -403,26 +412,28 @@ def test_discard_and_rescore_reports_nan_when_class_vanishes(classifier):
         np.concatenate([np.zeros(20, dtype=int), np.ones(40, dtype=int)]),
     )
     val = ExampleSet(np.column_stack([np.full(30, 8.0), np.linspace(-1.0, 1.0, 30)]))
+    tau = calibrate_threshold(score_set(picky, val.features, ScoreKind.MUTUAL_INFORMATION), 0.3)
     rows = discard_and_rescore(
         referable_posterior(classifier, test.features),
         test.labels,
         score_set(picky, test.features, ScoreKind.MUTUAL_INFORMATION),
-        score_set(picky, val.features, ScoreKind.MUTUAL_INFORMATION),
-        (0.3,),
+        [(0.3, tau)],
     )
     assert math.isnan(rows[0].auroc)
     assert rows[0].retained == 40
 
 
 def test_discard_and_rescore_validation():
-    prob, labels, s_test, s_val = np.full(4, 0.5), np.array([0, 1, 0, 1]), np.zeros(4), np.zeros(4)
+    prob, labels, s_test, keep_all = np.full(4, 0.5), np.array([0, 1, 0, 1]), np.zeros(4), [(0.0, math.inf)]
     with pytest.raises(ValueError, match="labeled"):
-        discard_and_rescore(prob, None, s_test, s_val, (0.0,))
-    with pytest.raises(ValueError):
-        discard_and_rescore(prob, labels, s_test, s_val, (1.0,))
-    with pytest.raises(ValueError):
-        discard_and_rescore(prob, labels, s_test, s_val, (-0.1,))
+        discard_and_rescore(prob, None, s_test, keep_all)
     with pytest.raises(ValueError, match="empty"):
-        discard_and_rescore(prob[:0], labels[:0], s_test[:0], s_val, (0.0,))
+        discard_and_rescore(prob[:0], labels[:0], s_test[:0], keep_all)
+    # a nan score would be dropped even at tau = inf
+    with pytest.raises(ValueError, match="finite"):
+        discard_and_rescore(prob, labels, np.array([math.nan, 0.0, 0.0, 0.0]), keep_all)
     with pytest.raises(ValueError, match="one entry per example"):
-        discard_and_rescore(prob, labels[:3], s_test, s_val, (0.0,))
+        discard_and_rescore(prob, labels[:3], s_test, keep_all)
+    # a nan threshold would keep no row; it is refused, not reported as an empty retained set
+    with pytest.raises(ValueError, match="nan"):
+        discard_and_rescore(prob, labels, s_test, [*keep_all, (0.1, math.nan)])
