@@ -121,11 +121,10 @@ def save_csv(path, examples: ExampleSet) -> None:
     with _atomic.write(path) as fh:
         fh.write(f"features:{examples.dim},label:{int(labeled)}\n".encode())
         for i in range(0, len(examples), CHUNK_ROWS):
-            rows = [",".join(map(repr, row)) for row in examples.features[i : i + CHUNK_ROWS].tolist()]
+            columns = [map(repr, c) for c in examples.features[i : i + CHUNK_ROWS].T.tolist()]
             if labeled:
-                labels = examples.labels[i : i + CHUNK_ROWS].tolist()
-                rows = [f"{row},{label}" for row, label in zip(rows, labels)]
-            fh.write(("\n".join(rows) + "\n").encode())
+                columns.append(map(str, examples.labels[i : i + CHUNK_ROWS].tolist()))
+            fh.write(("\n".join(map(",".join, zip(*columns))) + "\n").encode())
 
 
 def _parse_header(line: str, path) -> tuple[int, bool]:

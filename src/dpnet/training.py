@@ -1,8 +1,9 @@
 """Multi-task mini-batch training with momentum gradient descent.
 
 Every step draws one in-domain batch and one batch from each
-out-of-distribution source; the sources are cycled independently with
-their own seeded shuffles, so a small exposure set simply repeats.
+out-of-distribution source. The training set and each source are cycled
+independently, each by its own seeded sampler, so a small exposure set
+simply repeats and an empty one yields no rows.
 The parameters after the last epoch are returned; a validation set only
 adds a per-epoch in-domain accuracy trace to the report.
 """
@@ -56,25 +57,18 @@ class TrainReport:
 
 
 class _Cycler:
-    """Endless seeded sampler over a feature set, reshuffling on wraparound."""
+    """Endless seeded sampler over n rows: a fresh permutation whenever too few indices are pending."""
 
     def __init__(self, n: int, rng: np.random.Generator):
         self.n = n
         self.rng = rng
-        self.order = rng.permutation(n)
-        self.pos = 0
+        self.pending = np.empty(0, dtype=np.int64)
 
     def take(self, k: int) -> np.ndarray:
-        out = np.empty(k, dtype=int)
-        filled = 0
-        while filled < k:
-            if self.pos == self.n:
-                self.order = self.rng.permutation(self.n)
-                self.pos = 0
-            grab = min(k - filled, self.n - self.pos)
-            out[filled : filled + grab] = self.order[self.pos : self.pos + grab]
-            self.pos += grab
-            filled += grab
+        """The next k indices; none for an empty set."""
+        while len(self.pending) < k and self.n:
+            self.pending = np.concatenate((self.pending, self.rng.permutation(self.n)))
+        out, self.pending = self.pending[:k], self.pending[k:]
         return out
 
 
@@ -147,11 +141,9 @@ def train(
     velocity = np.zeros_like(work.params)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(1 + len(ood_sets))
-    in_rng = np.random.default_rng(seeds[0])
-    cyclers = [
-        _Cycler(len(s), np.random.default_rng(child)) if len(s) else None
-        for s, child in zip(ood_sets, seeds[1:])
-    ]
+    in_cycler, *ood_cyclers = (
+        _Cycler(len(s), np.random.default_rng(child)) for s, child in zip([train_set, *ood_sets], seeds)
+    )
 
     report = TrainReport(loss_ood=[[] for _ in ood_sets])
     n = len(train_set)
@@ -160,15 +152,12 @@ def train(
     global_step = 0
 
     for _ in range(cfg.epochs):
-        order = in_rng.permutation(n)
-        # one gather per epoch and source; each step then takes a contiguous
+        # one gather per epoch and set; each step then takes a contiguous
         # slice. A cycler hands out the same rows in the same order whether
         # it is asked for an epoch's worth at once or one batch at a time.
+        order = in_cycler.take(n)
         features, labels = train_set.features[order], train_set.labels[order]
-        ood_epoch = [
-            s.features[cycler.take(ood_rows)] if cycler is not None else s.features
-            for s, cycler in zip(ood_sets, cyclers)
-        ]
+        ood_epoch = [s.features[cycler.take(ood_rows)] for s, cycler in zip(ood_sets, ood_cyclers)]
         sums = [0.0] * (2 + len(ood_sets))
         for step in range(steps_per_epoch):
             rows = slice(step * cfg.batch_size, (step + 1) * cfg.batch_size)

@@ -428,6 +428,29 @@ def test_gen_is_reproducible(experiment, tmp_path):
         assert (tmp_path / name).read_bytes() == (experiment["out"] / name).read_bytes()
 
 
+# SHA-256 of each CSV that gen writes on the default config: a change to a
+# generator, to a set's random stream or to the CSV format moves one of them
+DEFAULT_DRAW_SHA256 = {
+    "in_train": "fef7cdba8bb895bb27970f45d5f9007f6577704da840c913a501583e9818d898",
+    "in_val": "269de833ca662649152f179339583947ffe3ef5596f0d2ba21b7288673913e95",
+    "in_test": "104399e76c3de13b98792ba1cf1a04433e10cd74ead54aca4fc207a38d3b279c",
+    "shifted_test": "70c0e55614ce6798ce67dfb6ce2a5b60e7ef85d44d971254578bd3552aeda1d2",
+    "far_ood": "dfceceec3e7dab73225e11e5d283e788234ebbbfe52cc81b2576fbbfabf3bb89",
+}
+
+
+def test_gen_default_draws_are_pinned(tmp_path):
+    path = tmp_path / "config.json"
+    save_config(default_config(str(tmp_path)), path)
+    rc, _ = run_cli(["gen", "--config", str(path)])
+    assert rc == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
+        for name in config.GENERATED
+    }
+    assert digests == DEFAULT_DRAW_SHA256
+
+
 def test_train_writes_checkpoint_and_report(experiment):
     out = experiment["out"]
     for role in ("classifier", "detector"):

@@ -129,6 +129,9 @@ def test_small_ood_set_cycles_past_batch_size():
     cfg = TrainConfig(small_objective(), epochs=2, batch_size=16, learning_rate=0.05, seed=15)
     _, report = train(init_model((2, 8, 3), seed=16), data, [ood], cfg)
     assert all(np.isfinite(report.loss_ood[0]))
+    # an empty source yields no rows, however many are asked for
+    empty = _Cycler(0, np.random.default_rng(15)).take(16)
+    assert empty.shape == (0,) and empty.dtype == np.int64
 
 
 def test_validation_set_only_adds_a_trace():
