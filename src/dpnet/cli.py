@@ -189,15 +189,14 @@ _OUTCOME_NAMES = [o.value for o in pipeline.Outcome]
 
 def _write_decisions(
     path: Path, thresholds: pipeline.ScreeningThresholds, parts: list[tuple[str, pipeline.ScreenScores]]
-) -> list[int]:
-    """Route each (id prefix, scores) part, then write its decisions.csv lines; return the count per outcome.
+) -> list[list[int]]:
+    """Route each (id prefix, scores) part, then write its decisions.csv lines; return each part's count per outcome.
 
     Row i of a part gets the id ``<prefix><i>``. Each part is routed with
     one route_decision call before the file is opened; lines are then
     formatted and written data.CHUNK_ROWS at a time.
     """
     routed = [pipeline.route_decision(s.s_d, s.s_c, thresholds, s.predicted) for _, s in parts]
-    counts = np.zeros(len(_OUTCOME_NAMES), dtype=np.int64)
     with _atomic.write(path) as fh:
         fh.write(b"id,s_d,s_c,outcome,predicted_class\n")
         for (prefix, scores), (outcome, predicted) in zip(parts, routed):
@@ -209,8 +208,7 @@ def _write_decisions(
                     f"{prefix}{j},{d!r},{c!r},{_OUTCOME_NAMES[o]},{'' if k < 0 else k}\n"
                     for j, d, c, o, k in zip(itertools.count(i), *(col.tolist() for col in columns))
                 ]).encode())
-            counts += np.bincount(outcome, minlength=len(_OUTCOME_NAMES))
-    return counts.tolist()
+    return [np.bincount(outcome, minlength=len(_OUTCOME_NAMES)).tolist() for outcome, _ in routed]
 
 
 def cmd_screen(cfg: cfgmod.ExperimentConfig, ckpts: list[str], input_path: str, out: Path) -> int:
@@ -234,7 +232,7 @@ def cmd_screen(cfg: cfgmod.ExperimentConfig, ckpts: list[str], input_path: str, 
     examples = _load_rows(input_path, models[0].layer_sizes[0], raw=val_raw)
     scores = _screen_scores(models, ckpts, input_path, examples.features)
     thresholds = _screening_thresholds(cfg, ckpts, models, digests, out, val_raw)
-    counts = _write_decisions(out / "decisions.csv", thresholds, [("", scores)])
+    (counts,) = _write_decisions(out / "decisions.csv", thresholds, [("", scores)])
     print(f"wrote {out / 'decisions.csv'}")
     for name, count in zip(_OUTCOME_NAMES, counts):
         print(f"{name}={count}")
@@ -242,7 +240,7 @@ def cmd_screen(cfg: cfgmod.ExperimentConfig, ckpts: list[str], input_path: str, 
 
 
 def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
-    """Write scores.csv, detection_rates.csv, rescore_auroc.csv and thresholds.json.
+    """Write scores.csv, routing.csv, detection_rates.csv, rescore_auroc.csv and thresholds.json.
 
     Both thresholds are always calibrated on ``in_val.csv`` here, and
     thresholds.json records them for ``screen`` to reuse, with the digest of
@@ -267,9 +265,13 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
 
     inputs = _calibration_inputs(cfg, digests, val_raw)
     thresholds = _calibrate(cfg, inputs, scores["in_val"], out / _THRESHOLDS_FILE)
-    _write_decisions(out / "scores.csv", thresholds, [
-        (f"{name}/", scores[name]) for name in ("in_test", "shifted_test", "far_ood")
-    ])
+    scored = ("in_test", "shifted_test", "far_ood")
+    counts = _write_decisions(out / "scores.csv", thresholds, [(f"{name}/", scores[name]) for name in scored])
+    routing_lines = [
+        f"{name},{outcome},{n}" for name, part in zip(scored, counts) for outcome, n in zip(_OUTCOME_NAMES, part)
+    ]
+    with _atomic.write(out / "routing.csv") as fh:
+        fh.write(("\n".join(["dataset,outcome,count"] + routing_lines) + "\n").encode())
 
     # calibrated once for both reports; a list, not a dict: each drop fraction, repeated or not, keeps its line
     taus = [(p, pipeline.calibrate_threshold(scores["in_val"].s_d, p)) for p in cfg.evaluation.drop_fractions]

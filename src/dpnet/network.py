@@ -149,19 +149,30 @@ def _as_batch(model: FeedForwardModel, x, name: str) -> np.ndarray:
 
 
 def forward(model: FeedForwardModel, x) -> np.ndarray:
-    """Logits for a single input vector."""
-    z, _ = _forward_cached(model, _as_batch(model, x, "x"))
-    return z[0]
+    """Logits for a single input vector: forward_batch on one row."""
+    return forward_batch(model, _as_batch(model, x, "x"))[0]
+
+
+_BLOCK_ROWS = 256  # BLAS picks its kernel by row count, so every pass has this many rows
 
 
 def forward_batch(model: FeedForwardModel, X) -> np.ndarray:
-    """Logits for an (n, input_dim) batch."""
+    """Logits for an (n, input_dim) batch, one pass per _BLOCK_ROWS rows from row 0.
+
+    A short last block is zero-padded, so a row's logits depend neither on n nor on the other rows.
+    """
     arr = np.asarray(X, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != model.input_dim:
         raise ValueError(f"X must have shape (n, {model.input_dim})")
     if not np.all(np.isfinite(arr)):
         raise ValueError("X must be finite")
-    return _forward_cached(model, arr)[0]
+    Z = np.empty((len(arr), model.num_classes))
+    for i in range(0, len(arr), _BLOCK_ROWS):
+        rows = arr[i : i + _BLOCK_ROWS]
+        block = np.zeros((_BLOCK_ROWS, model.input_dim))
+        block[: len(rows)] = rows
+        Z[i : i + len(rows)] = _forward_cached(model, block)[0][: len(rows)]
+    return Z
 
 
 def _backward_cached(model: FeedForwardModel, acts, dZ: np.ndarray) -> GradientSet:

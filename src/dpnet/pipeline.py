@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import CHUNK_ROWS
 from .dirichlet import _alpha_rows, _mutual_information_rows
 from .network import FeedForwardModel, forward_batch
 
@@ -88,23 +89,14 @@ def _block_scores(Z: np.ndarray, kind: ScoreKind) -> tuple[np.ndarray, np.ndarra
     return -(p * np.log(p)).sum(axis=1), referable
 
 
-_SCORE_BLOCK = 256  # fixed so a row's score never depends on the input size
-# Rows per call of the row-wise Dirichlet math. A whole number of blocks,
-# so block edges stay at multiples of _SCORE_BLOCK from row 0 and every
-# logit is the one a lone 256-row forward pass gives; larger chunks
-# fall out of cache.
-_SCORE_CHUNK = 32 * _SCORE_BLOCK
-
-
 def _score_rows(model: FeedForwardModel, features: np.ndarray, kind: ScoreKind | str):
     """(score, predicted class, referable posterior) of every row, in row order.
 
-    Logits come from one forward pass per fixed 256-row block; the
-    Dirichlet math then runs once per 8192-row chunk of them. Every
-    floating-point reduction has a fixed shape per row, so the results
-    are the same whatever the number of rows. A non-finite logit raises
-    NonFiniteLogits, without a numpy warning. ``kind`` may be a ScoreKind's
-    wire value; an unknown kind raises ValueError before any row is scored.
+    Logits and the Dirichlet math run once per data.CHUNK_ROWS rows. Every
+    reduction, forward_batch's blocks included, has a fixed shape per row, so
+    a row's results do not depend on the rows scored with it. A non-finite
+    logit raises NonFiniteLogits, without a numpy warning; an unknown ``kind``
+    (a ScoreKind or its wire value) raises ValueError before any row is scored.
     """
     kind = ScoreKind(kind)
     X = np.asarray(features, dtype=float)
@@ -112,17 +104,14 @@ def _score_rows(model: FeedForwardModel, features: np.ndarray, kind: ScoreKind |
         raise ValueError("features must be a 2-D array")
     n = X.shape[0]
     score, predicted, referable = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n)
-    Z = np.empty((min(n, _SCORE_CHUNK), model.num_classes))
-    for i in range(0, n, _SCORE_CHUNK):
-        rows = slice(i, min(i + _SCORE_CHUNK, n))
-        Zc = Z[: rows.stop - i]
+    for i in range(0, n, CHUNK_ROWS):
+        rows = slice(i, i + CHUNK_ROWS)
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(0, Zc.shape[0], _SCORE_BLOCK):
-                Zc[j : j + _SCORE_BLOCK] = forward_batch(model, X[i + j : i + j + _SCORE_BLOCK])
-        if not np.isfinite(Zc).all():
+            Z = forward_batch(model, X[rows])
+        if not np.isfinite(Z).all():
             raise NonFiniteLogits(model)
-        score[rows], referable[rows] = _block_scores(Zc, kind)
-        predicted[rows] = Zc.argmax(axis=1)
+        score[rows], referable[rows] = _block_scores(Z, kind)
+        predicted[rows] = Z.argmax(axis=1)
     return score, predicted, referable
 
 

@@ -489,6 +489,19 @@ def test_eval_scores_cover_all_three_datasets(experiment):
     assert ids[0] == "in_test/0"
 
 
+def test_eval_routing_tallies_scores_and_reruns_byte_identical(experiment, tmp_path):
+    routing = (experiment["out"] / "routing.csv").read_text()
+    tally = {(name, outcome.value): 0 for name in ("in_test", "shifted_test", "far_ood") for outcome in pipeline.Outcome}
+    for line in (experiment["out"] / "scores.csv").read_text().splitlines()[1:]:
+        row_id, _, _, outcome, _ = line.split(",")
+        tally[row_id.split("/")[0], outcome] += 1
+    assert routing == "dataset,outcome,count\n" + "".join(f"{d},{o},{n}\n" for (d, o), n in tally.items())
+
+    ckpts = copy_run(experiment, tmp_path)
+    assert run_cli(["eval", "--config", experiment["cfg"], *ckpts, "--out", str(tmp_path)])[0] == 0
+    assert (tmp_path / "routing.csv").read_text() == routing
+
+
 def test_eval_detection_rates_schema(experiment):
     lines = (experiment["out"] / "detection_rates.csv").read_text().splitlines()
     assert lines[0] == "dataset,drop_fraction,detection_rate"
@@ -1554,13 +1567,13 @@ def decision_parts(draw):
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.lists(decision_parts(), min_size=1, max_size=3), finite, finite, st.integers(1, 4))
 def test_decisions_writer_matches_per_row_lines(parts, tau_d, tau_c, chunk):
-    """With chunks of a few rows, the writer's lines and counts are the per-row f-string's."""
+    """With chunks of a few rows, the writer's lines and each part's counts are the per-row f-string's."""
     thresholds = pipeline.ScreeningThresholds(tau_d=tau_d, tau_c=tau_c)
-    lines, counts = [], [0, 0, 0]
+    lines, counts = [], []
     for prefix, scores in parts:
         part_lines, part_counts = per_row_decision_rows(thresholds, scores, prefix)
         lines += part_lines
-        counts = [a + b for a, b in zip(counts, part_counts)]
+        counts.append(part_counts)
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(data, "CHUNK_ROWS", chunk):
         path = Path(tmp) / "decisions.csv"
         assert cli._write_decisions(path, thresholds, parts) == counts

@@ -67,8 +67,8 @@ def test_forward_batch_matches_single():
     X = np.random.default_rng(2).normal(0, 2, (9, 3))
     Z = forward_batch(model, X)
     assert Z.shape == (9, 4)
-    for i in range(9):
-        assert np.allclose(Z[i], forward(model, X[i]), atol=1e-12)
+    for i in range(9):  # forward is forward_batch on one row: the same bits
+        assert np.array_equal(Z[i], forward(model, X[i]))
 
 
 def test_dimension_errors():

@@ -61,14 +61,14 @@ def classifier():
 @example(hidden=[8], classes=3, rows=513, activation="relu", seed=52)
 @example(hidden=[1, 1], classes=5, rows=38, activation="relu", seed=274618120)  # logits past 30
 def test_score_set_matches_single_input_scores(hidden, classes, rows, activation, seed):
-    # row counts up to 600 cross the 256-row block edges of score_set
+    # row counts up to 600 cross the 256-row block edges of forward_batch
     model = init_model((2, *hidden, classes), seed=seed, activation=activation)
     X = np.random.default_rng(seed).uniform(-4.0, 4.0, (rows, 2))
 
     want = [mutual_information(logits_to_alpha(forward(model, x))) for x in X]
     got = score_set(model, X, ScoreKind.MUTUAL_INFORMATION)
     assert got.shape == (rows,)
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    assert np.array_equal(got, want)  # forward and score_set share forward_batch's blocks
 
     # screen_scores reads one blocked pass per model: the same scores, plus
     # the classifier's argmax and referable posterior
@@ -77,7 +77,7 @@ def test_score_set_matches_single_input_scores(hidden, classes, rows, activation
     Z = np.array([forward(model, x) for x in X]).reshape(rows, classes)
     assert np.array_equal(both.predicted, Z.argmax(axis=1))
     alpha = np.exp(np.clip(Z, -30.0, 30.0))
-    np.testing.assert_allclose(both.referable, alpha[:, 0] / alpha.sum(axis=1), rtol=0.0, atol=1e-12)
+    assert np.array_equal(both.referable, alpha[:, 0] / alpha.sum(axis=1))
 
     # scores read the Dirichlet of logits_to_alpha, which clamps logits to +-30
     Z = np.clip([forward(model, x) for x in X], -30.0, 30.0).reshape(rows, classes)
@@ -127,6 +127,25 @@ def test_chunked_scoring_matches_per_block_reference(activation, classes):
         assert np.array_equal(got.s_c, s_c), rows
         assert np.array_equal(got.predicted, predicted), rows
         assert np.array_equal(got.referable, referable), rows
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(
+    rows=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1),
+    ends=st.lists(st.integers(0, 600), min_size=2, max_size=2),
+)
+@example(rows=513, seed=7, ends=[1, 513])  # a slice that crosses both block edges
+def test_a_rows_scores_do_not_depend_on_the_rows_screened_with_it(classifier, detector, rows, seed, ends):
+    # a set, a slice of it, and each row alone: each row gets the same bits
+    X = np.random.default_rng(seed).uniform(-4.0, 4.0, (rows, 2))
+    whole = screen_scores(classifier, detector, X)
+    start, stop = sorted(min(end, rows) for end in ends)
+    pieces = [slice(start, stop), *(slice(i, i + 1) for i in range(rows))]
+    for piece in pieces:
+        got = screen_scores(classifier, detector, X[piece])
+        for name, column in zip(got._fields, got):
+            assert np.array_equal(column, getattr(whole, name)[piece]), (name, piece)
 
 
 def test_score_set_shapes():

@@ -9,7 +9,7 @@ must reach 0.90 on at least 10 of the 12 seeds. No seed is ever dropped
 for failing.
 
 One line per seed is printed, pass or fail: far@5 and shifted@5, the
-share of each dataset's scores.csv rows routed to each outcome, the
+share of each dataset's rows routed to each outcome (from routing.csv), the
 number of scored rows whose s_d equals tau_d, and the sign of the
 rescore AUROC change at a 10% drop. It reports and gates nothing.
 """
@@ -51,12 +51,13 @@ def run_seed(s: int, root) -> dict:
     for line in (out / "rescore_auroc.csv").read_text().splitlines()[1:]:
         p, _, auroc = line.split(",")
         rescore[float(p)] = float(auroc)
+    routed = {}  # outcome counts per dataset, in OUTCOMES order
+    for line in (out / "routing.csv").read_text().splitlines()[1:]:
+        name, outcome, count = line.split(",")
+        routed.setdefault(name, {})[outcome] = int(count)
     tau_d = json.loads((out / "thresholds.json").read_text())["tau_d"]
-    routed, ties = {}, 0  # outcome counts per dataset; scored rows whose s_d is tau_d
-    for line in (out / "scores.csv").read_text().splitlines()[1:]:
-        row_id, s_d, _, outcome, _ = line.split(",")
-        routed.setdefault(row_id.split("/")[0], dict.fromkeys(OUTCOMES, 0))[outcome] += 1
-        ties += float(s_d) == tau_d
+    # scored rows whose s_d is tau_d
+    ties = sum(float(line.split(",")[1]) == tau_d for line in (out / "scores.csv").read_text().splitlines()[1:])
     return {
         "far_at_5": rates["far_ood", 0.05],
         "shifted_at_5": rates["shifted_test", 0.05],
