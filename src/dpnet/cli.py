@@ -161,7 +161,7 @@ def _screen_scores(models: _ModelPair, ckpts: list[str], path, features) -> pipe
     """pipeline.screen_scores; logits that overflow are refused with the checkpoint's and the file's path."""
     try:
         return pipeline.screen_scores(*models, features)
-    except pipeline.NonFiniteLogits as exc:
+    except network.NonFiniteLogits as exc:
         ckpt = ckpts[0] if exc.model is models[0] else ckpts[1]
         raise ValueError(f"{ckpt}: non-finite logits on {path}") from None
 
@@ -291,8 +291,8 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
     with _atomic.write(out / "rescore_auroc.csv") as fh:
         fh.write(("\n".join(["drop_fraction,retained,auroc"] + rescore_lines) + "\n").encode())
 
-    for name in ("scores.csv", "detection_rates.csv", "rescore_auroc.csv"):
-        print(f"wrote {out / name}")
+    for name in (_THRESHOLDS_FILE, "scores.csv", "routing.csv", "detection_rates.csv", "rescore_auroc.csv"):
+        print(f"wrote {out / name}")  # in the order written
     return 0
 
 
@@ -303,10 +303,10 @@ def cmd_plot(ckpt: str, input_path: str, out: Path, resolution: int) -> int:
             f"{ckpt}: density grids need a 3-class model, found {model.num_classes} classes"
         )
     examples = _load_rows(input_path, model.layer_sizes[0])
-    with np.errstate(over="ignore", invalid="ignore"):
+    try:
         logits = network.forward(model, examples.features[0])
-    if not np.isfinite(logits).all():
-        raise ValueError(f"{ckpt}: non-finite logits on {input_path}")
+    except network.NonFiniteLogits:
+        raise ValueError(f"{ckpt}: non-finite logits on {input_path}") from None
     points, densities = dirichlet.density_grid(dirichlet.logits_to_alpha(logits), resolution)
     out.mkdir(parents=True, exist_ok=True)
     lines = [

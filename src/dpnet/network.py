@@ -19,6 +19,7 @@ __all__ = [
     "CHECKPOINT_MAGIC",
     "FeedForwardModel",
     "GradientSet",
+    "NonFiniteLogits",
     "init_model",
     "forward",
     "forward_batch",
@@ -148,6 +149,14 @@ def _as_batch(model: FeedForwardModel, x, name: str) -> np.ndarray:
     return arr[None, :]
 
 
+class NonFiniteLogits(RuntimeError):
+    """``model``'s forward pass overflowed on some row."""
+
+    def __init__(self, model: FeedForwardModel):
+        super().__init__("non-finite logits")
+        self.model = model
+
+
 def forward(model: FeedForwardModel, x) -> np.ndarray:
     """Logits for a single input vector: forward_batch on one row."""
     return forward_batch(model, _as_batch(model, x, "x"))[0]
@@ -160,6 +169,7 @@ def forward_batch(model: FeedForwardModel, X) -> np.ndarray:
     """Logits for an (n, input_dim) batch, one pass per _BLOCK_ROWS rows from row 0.
 
     A short last block is zero-padded, so a row's logits depend neither on n nor on the other rows.
+    A non-finite logit on a given row raises NonFiniteLogits, without a numpy warning; the padding is never checked.
     """
     arr = np.asarray(X, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != model.input_dim:
@@ -167,11 +177,14 @@ def forward_batch(model: FeedForwardModel, X) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("X must be finite")
     Z = np.empty((len(arr), model.num_classes))
-    for i in range(0, len(arr), _BLOCK_ROWS):
-        rows = arr[i : i + _BLOCK_ROWS]
-        block = np.zeros((_BLOCK_ROWS, model.input_dim))
-        block[: len(rows)] = rows
-        Z[i : i + len(rows)] = _forward_cached(model, block)[0][: len(rows)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(arr), _BLOCK_ROWS):
+            rows = arr[i : i + _BLOCK_ROWS]
+            block = np.zeros((_BLOCK_ROWS, model.input_dim))
+            block[: len(rows)] = rows
+            Z[i : i + len(rows)] = _forward_cached(model, block)[0][: len(rows)]
+    if not np.isfinite(Z).all():
+        raise NonFiniteLogits(model)
     return Z
 
 

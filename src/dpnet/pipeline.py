@@ -27,7 +27,6 @@ __all__ = [
     "ScreeningThresholds",
     "Outcome",
     "RescoreRow",
-    "NonFiniteLogits",
     "ScreenScores",
     "score_set",
     "screen_scores",
@@ -70,14 +69,6 @@ class RescoreRow:
     auroc: float  # nan when a class is absent after discarding
 
 
-class NonFiniteLogits(ValueError):
-    """``model``'s forward pass overflowed on some row."""
-
-    def __init__(self, model: FeedForwardModel):
-        super().__init__("non-finite logits")
-        self.model = model
-
-
 def _block_scores(Z: np.ndarray, kind: ScoreKind) -> tuple[np.ndarray, np.ndarray]:
     """(score, referable posterior) rows from an (n, K) array of logits."""
     alpha = _alpha_rows(Z)
@@ -95,8 +86,8 @@ def _score_rows(model: FeedForwardModel, features: np.ndarray, kind: ScoreKind |
     Logits and the Dirichlet math run once per data.CHUNK_ROWS rows. Every
     reduction, forward_batch's blocks included, has a fixed shape per row, so
     a row's results do not depend on the rows scored with it. A non-finite
-    logit raises NonFiniteLogits, without a numpy warning; an unknown ``kind``
-    (a ScoreKind or its wire value) raises ValueError before any row is scored.
+    logit raises forward_batch's NonFiniteLogits; an unknown ``kind`` (a
+    ScoreKind or its wire value) raises ValueError before any row is scored.
     """
     kind = ScoreKind(kind)
     X = np.asarray(features, dtype=float)
@@ -106,10 +97,7 @@ def _score_rows(model: FeedForwardModel, features: np.ndarray, kind: ScoreKind |
     score, predicted, referable = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n)
     for i in range(0, n, CHUNK_ROWS):
         rows = slice(i, i + CHUNK_ROWS)
-        with np.errstate(over="ignore", invalid="ignore"):
-            Z = forward_batch(model, X[rows])
-        if not np.isfinite(Z).all():
-            raise NonFiniteLogits(model)
+        Z = forward_batch(model, X[rows])
         score[rows], referable[rows] = _block_scores(Z, kind)
         predicted[rows] = Z.argmax(axis=1)
     return score, predicted, referable

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import ExampleSet
 from .losses import ObjectiveConfig, objective_batch
-from .network import FeedForwardModel, forward_batch
+from .network import FeedForwardModel, NonFiniteLogits, forward_batch
 
 __all__ = ["TrainConfig", "TrainReport", "NonFiniteValidation", "train", "evaluate_accuracy"]
 
@@ -73,16 +73,12 @@ class _Cycler:
 
 
 def evaluate_accuracy(model: FeedForwardModel, examples: ExampleSet) -> float:
-    """Fraction of examples whose argmax posterior matches the label; logits that overflow raise RuntimeError."""
+    """Fraction of examples whose argmax posterior matches the label; logits that overflow raise NonFiniteLogits."""
     if len(examples) == 0:
         raise ValueError("cannot evaluate on an empty set")
     if examples.labels is None:
         raise ValueError("accuracy needs labeled examples")
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits = forward_batch(model, examples.features)
-    if not np.isfinite(logits).all():
-        raise RuntimeError("non-finite logits on the rows evaluated for accuracy")
-    return float((logits.argmax(axis=1) == examples.labels).mean())
+    return float((forward_batch(model, examples.features).argmax(axis=1) == examples.labels).mean())
 
 
 class NonFiniteValidation(RuntimeError):
@@ -93,7 +89,7 @@ def _val_accuracy(model: FeedForwardModel, val_set: ExampleSet, when: str) -> fl
     """evaluate_accuracy on the validation set; logits that overflow raise NonFiniteValidation naming ``when``."""
     try:
         return evaluate_accuracy(model, val_set)
-    except RuntimeError:
+    except NonFiniteLogits:
         raise NonFiniteValidation(f"non-finite logits on the validation rows {when}") from None
 
 
@@ -175,8 +171,10 @@ def train(
         # parameters, and their logits on the epoch's last in-domain batch
         if not np.isfinite(work.params).all():
             raise RuntimeError(f"non-finite parameters after step {global_step - 1}")
-        if not np.isfinite(forward_batch(work, features[rows])).all():
-            raise RuntimeError(f"non-finite logits after step {global_step - 1}")
+        try:
+            forward_batch(work, features[rows])
+        except NonFiniteLogits:
+            raise RuntimeError(f"non-finite logits after step {global_step - 1}") from None
         total, in_loss, *ood_losses = (a / steps_per_epoch for a in sums)
         report.loss_total.append(total)
         report.loss_in.append(in_loss)

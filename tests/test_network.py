@@ -10,9 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dpnet.data import ExampleSet
 from dpnet.network import (
     CHECKPOINT_MAGIC,
     FeedForwardModel,
+    NonFiniteLogits,
     backward,
     checkpoint_bytes,
     forward,
@@ -21,6 +23,8 @@ from dpnet.network import (
     load_checkpoint,
     save_checkpoint,
 )
+from dpnet.pipeline import score_set, screen_scores
+from dpnet.training import evaluate_accuracy
 
 
 def naive_forward(model, x):
@@ -69,6 +73,39 @@ def test_forward_batch_matches_single():
     assert Z.shape == (9, 4)
     for i in range(9):  # forward is forward_batch on one row: the same bits
         assert np.array_equal(Z[i], forward(model, X[i]))
+
+
+# every public entry point that runs a forward pass, called on (model, rows, labels)
+ENTRY_POINTS = {
+    "forward": lambda m, X, y: forward(m, X[0]),
+    "forward_batch": lambda m, X, y: forward_batch(m, X),
+    "score_set": lambda m, X, y: score_set(m, X, "mutual_information"),
+    "screen_scores": lambda m, X, y: screen_scores(m, m, X),
+    "evaluate_accuracy": lambda m, X, y: evaluate_accuracy(m, ExampleSet(X, y)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_overflowing_logits_refused_at_every_entry_point(entry):
+    """Finite but huge parameters: NonFiniteLogits naming the model, and no numpy warning
+    (the suite makes those errors)."""
+    model = init_model((2, 8, 3), 47, "relu")
+    model.params *= 1e200
+    X = np.array([[1.0, -0.5], [0.3, 2.0]])
+    with pytest.raises(NonFiniteLogits, match="^non-finite logits$") as info:
+        ENTRY_POINTS[entry](model, X, np.zeros(2, dtype=int))
+    assert info.value.model is model
+
+
+def test_overflow_in_the_zero_padding_is_not_refused():
+    """Only the given rows are checked: here the padding rows' logits overflow and the real row's are 0."""
+    model = FeedForwardModel(
+        (1, 1, 2), [np.array([[-1.0]]), np.array([[1e10], [0.0]])], [np.array([1e300]), np.zeros(2)], "relu"
+    )
+    X = np.array([[1e300]])
+    assert np.array_equal(forward_batch(model, X), [[0.0, 0.0]])
+    for call in ENTRY_POINTS.values():
+        call(model, X, np.zeros(1, dtype=int))
 
 
 def test_dimension_errors():
