@@ -23,10 +23,6 @@ from . import config as cfgmod
 from . import _atomic, data, dirichlet, network, pipeline, training
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _read_dataset(path) -> bytes:
     """The whole dataset CSV at path, for a caller that both hashes and parses it."""
     try:
@@ -203,12 +199,18 @@ def _write_decisions(
             for i in range(0, len(outcome), data.CHUNK_ROWS):
                 rows = slice(i, i + data.CHUNK_ROWS)
                 columns = (scores.s_d[rows], scores.s_c[rows], outcome[rows], predicted[rows])
-                # tolist() gives Python floats, whose repr is _fmt's output
+                # tolist() gives Python floats, whose repr round-trips, as in every table dpnet writes
                 fh.write("".join([
                     f"{prefix}{j},{d!r},{c!r},{_OUTCOME_NAMES[o]},{'' if k < 0 else k}\n"
                     for j, d, c, o, k in zip(itertools.count(i), *(col.tolist() for col in columns))
                 ]).encode())
     return [np.bincount(outcome, minlength=len(_OUTCOME_NAMES)).tolist() for outcome, _ in routed]
+
+
+def _write_table(path: Path, header: str, rows) -> None:
+    """Write the CSV line ``header``, then each row of Python floats, ints and strs by str (a float's is its repr)."""
+    with _atomic.write(path) as fh:
+        fh.write("".join([f"{header}\n", *(",".join(map(str, row)) + "\n" for row in rows)]).encode())
 
 
 def cmd_screen(cfg: cfgmod.ExperimentConfig, ckpts: list[str], input_path: str, out: Path) -> int:
@@ -267,29 +269,20 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
     thresholds = _calibrate(cfg, inputs, scores["in_val"], out / _THRESHOLDS_FILE)
     scored = ("in_test", "shifted_test", "far_ood")
     counts = _write_decisions(out / "scores.csv", thresholds, [(f"{name}/", scores[name]) for name in scored])
-    routing_lines = [
-        f"{name},{outcome},{n}" for name, part in zip(scored, counts) for outcome, n in zip(_OUTCOME_NAMES, part)
-    ]
-    with _atomic.write(out / "routing.csv") as fh:
-        fh.write(("\n".join(["dataset,outcome,count"] + routing_lines) + "\n").encode())
+    routed = [(name, outcome, n) for name, part in zip(scored, counts) for outcome, n in zip(_OUTCOME_NAMES, part)]
+    _write_table(out / "routing.csv", "dataset,outcome,count", routed)
 
     # calibrated once for both reports; a list, not a dict: each drop fraction, repeated or not, keeps its line
     taus = [(p, pipeline.calibrate_threshold(scores["in_val"].s_d, p)) for p in cfg.evaluation.drop_fractions]
-    rate_lines = [
-        f"{name},{_fmt(p)},{_fmt(pipeline.ood_detection_rate(scores[name].s_d, tau))}"
+    _write_table(out / "detection_rates.csv", "dataset,drop_fraction,detection_rate", [
+        (name, p, pipeline.ood_detection_rate(scores[name].s_d, tau))
         for name in ("shifted_test", "far_ood") for p, tau in taus
-    ]
-    with _atomic.write(out / "detection_rates.csv") as fh:
-        fh.write(("\n".join(["dataset,drop_fraction,detection_rate"] + rate_lines) + "\n").encode())
+    ])
 
-    shifted = scores["shifted_test"]
+    shifted, labels = scores["shifted_test"], sets["shifted_test"].labels
     # drop fraction 0.0 keeps every row
-    rows = pipeline.discard_and_rescore(
-        shifted.referable, sets["shifted_test"].labels, shifted.s_d, [(0.0, math.inf), *taus]
-    )
-    rescore_lines = [f"{_fmt(r.drop_fraction)},{r.retained},{_fmt(r.auroc)}" for r in rows]
-    with _atomic.write(out / "rescore_auroc.csv") as fh:
-        fh.write(("\n".join(["drop_fraction,retained,auroc"] + rescore_lines) + "\n").encode())
+    rows = pipeline.discard_and_rescore(shifted.referable, labels, shifted.s_d, [(0.0, math.inf), *taus])
+    _write_table(out / "rescore_auroc.csv", "drop_fraction,retained,auroc", map(dataclasses.astuple, rows))
 
     for name in (_THRESHOLDS_FILE, "scores.csv", "routing.csv", "detection_rates.csv", "rescore_auroc.csv"):
         print(f"wrote {out / name}")  # in the order written
@@ -309,13 +302,9 @@ def cmd_plot(ckpt: str, input_path: str, out: Path, resolution: int) -> int:
         raise ValueError(f"{ckpt}: non-finite logits on {input_path}") from None
     points, densities = dirichlet.density_grid(dirichlet.logits_to_alpha(logits), resolution)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"{_fmt(mu[0])},{_fmt(mu[1])},{_fmt(mu[2])},{_fmt(d)}"
-        for mu, d in zip(points, densities)
-    ]
-    with _atomic.write(out / "density_grid.csv") as fh:
-        fh.write(("\n".join(["mu1,mu2,mu3,density"] + lines) + "\n").encode())
-    print(f"wrote {out / 'density_grid.csv'} ({len(lines)} lattice points)")
+    rows = np.column_stack([points, densities]).tolist()
+    _write_table(out / "density_grid.csv", "mu1,mu2,mu3,density", rows)
+    print(f"wrote {out / 'density_grid.csv'} ({len(rows)} lattice points)")
     return 0
 
 

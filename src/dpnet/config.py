@@ -291,12 +291,22 @@ def from_dict(d: dict) -> ExperimentConfig:
 _JSON_CACHE_SIZE = 8
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key given twice is refused, where json.loads alone would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # a LookupError, so that _build_json's digit-limit branch cannot take it
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise LookupError(f"duplicate key {key!r}")
+    return obj
+
+
 @functools.lru_cache(maxsize=_JSON_CACHE_SIZE)
 def _build_json(raw: bytes, build, *args):
     """build(*args, value) for the JSON value in raw; a call that raises is not kept."""
     try:  # universal newlines, as a text-mode read gives, so error positions count the same characters
-        value = json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        value = json.loads(text, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, LookupError) as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
     except ValueError:  # int() refuses a literal past the digit limit, advising a Python call
         raise ValueError(f"invalid JSON: an integer of more than {sys.get_int_max_str_digits()} digits") from None

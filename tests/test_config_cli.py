@@ -522,6 +522,36 @@ def test_eval_rescore_table_schema(experiment):
     assert all(0.0 <= float(r[2]) <= 1.0 for r in rows)
 
 
+def test_eval_detection_rates_are_written_by_repr(experiment):
+    """Each rate in detection_rates.csv loads back as exactly the ood_detection_rate of the s_d column
+    of scores.csv at the threshold calibrated on in_val.csv's detector scores."""
+    out = experiment["out"]
+    models = [load_checkpoint(out / f"{role}.ckpt") for role in ("classifier", "detector")]
+    val_s_d = pipeline.screen_scores(*models, load_csv(out / "in_val.csv").features).s_d
+    s_d = {}
+    for line in (out / "scores.csv").read_text().splitlines()[1:]:
+        row_id, score = line.split(",")[:2]
+        s_d.setdefault(row_id.split("/")[0], []).append(float(score))
+    tau_d = json.loads((out / "thresholds.json").read_text())["tau_d"]
+    assert pipeline.calibrate_threshold(val_s_d, 0.05) == tau_d
+    lines = (out / "detection_rates.csv").read_text().splitlines()[1:]
+    for name, p, rate in (line.split(",") for line in lines):
+        tau = pipeline.calibrate_threshold(val_s_d, float(p))
+        assert float(rate) == pipeline.ood_detection_rate(s_d[name], tau), (name, p)
+
+
+def test_eval_writes_nan_auroc_for_a_retained_set_without_a_class(experiment, tmp_path):
+    """With every shifted_test row labeled 1, no retained set holds the referable class 0:
+    each AUROC in rescore_auroc.csv is written as nan."""
+    ckpts = copy_run(experiment, tmp_path)
+    shifted = load_csv(tmp_path / "shifted_test.csv")
+    save_csv(tmp_path / "shifted_test.csv", ExampleSet(shifted.features, np.ones(len(shifted), dtype=np.int64)))
+    assert run_cli(["eval", "--config", experiment["cfg"], *ckpts, "--out", str(tmp_path)])[0] == 0
+    rows = [line.split(",") for line in (tmp_path / "rescore_auroc.csv").read_text().splitlines()[1:]]
+    assert [float(p) for p, _, _ in rows] == [0.0, 0.05, 0.07, 0.1]
+    assert [auroc for _, _, auroc in rows] == ["nan"] * 4
+
+
 def test_eval_reports_agree_on_every_drop_fraction(experiment):
     """At each drop fraction, rescore_auroc.csv retains the shifted_test rows that
     detection_rates.csv does not flag; drop fraction 0.0 retains every row."""
@@ -578,6 +608,11 @@ def test_plot_writes_density_grid(experiment, tmp_path):
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     assert np.allclose(rows[:, :3].sum(axis=1), 1.0, atol=1e-12)
     assert (rows[:, 3] >= 0.0).all()
+    # every field loads back as exactly the value density_grid gives on the input's first row
+    model = load_checkpoint(experiment["out"] / "classifier.ckpt")
+    alpha = dirichlet.logits_to_alpha(network.forward(model, load_csv(experiment["out"] / "in_test.csv").features[0]))
+    points, densities = dirichlet.density_grid(alpha, 24)
+    assert rows.tolist() == np.column_stack([points, densities]).tolist()
 
 
 def test_cli_requires_two_checkpoints(experiment, capsys):
@@ -644,6 +679,26 @@ def test_cli_reports_broken_config(tmp_path, capsys):
     assert rc == 1
     limit = sys.get_int_max_str_digits()
     assert capsys.readouterr().err == f"error: {path}: invalid JSON: an integer of more than {limit} digits\n"
+
+
+@pytest.mark.parametrize("line, doubled, key", [
+    ('"epochs": 40,', '"epochs": 40, "epochs": 5,', "epochs"),  # the first "epochs" is the classifier's
+    ('"out_dir": ', '"out_dir": "elsewhere", "out_dir": ', "out_dir"),
+], ids=["in-a-role", "top-level"])
+def test_config_refuses_a_key_given_twice(tmp_path, capsys, line, doubled, key):
+    """A key given twice in one object is refused with the file's path, where json.loads would keep
+    the last value; gen writes nothing, and a refused build is not kept by the cache."""
+    path, out = tmp_path / "config.json", tmp_path / "run"
+    save_config(default_config(str(out)), path)
+    text = path.read_text()
+    assert line in text
+    path.write_text(text.replace(line, doubled, 1))
+    for _ in range(2):
+        hits = config._build_json.cache_info().hits
+        assert cli.main(["gen", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: invalid JSON: duplicate key {key!r}\n"
+        assert config._build_json.cache_info().hits == hits
+    assert not out.exists()
 
 
 def test_cli_parses_each_call_afresh(experiment, monkeypatch):
@@ -1025,6 +1080,10 @@ def test_screen_recalibrates_stale_thresholds_file(experiment, tmp_path, change)
         "drop_fraction_detector must be a finite number",
     ),
     (lambda blob: json.dumps({**blob, "tau": 0.1}), "unknown key 'tau'"),
+    (
+        lambda blob: json.dumps(blob).replace('"tau_d": ', '"tau_d": 0.5, "tau_d": '),
+        "invalid JSON: duplicate key 'tau_d'",
+    ),
     (lambda blob: "[" * 100_000 + "]" * 100_000, "invalid JSON: maximum recursion depth"),
     (
         lambda blob: json.dumps({**blob, "in_val_rows": "rows"}).replace('"rows"', "9" * 5000),
@@ -1032,18 +1091,21 @@ def test_screen_recalibrates_stale_thresholds_file(experiment, tmp_path, change)
     ),
 ], ids=[
     "bad-json", "not-an-object", "missing-key", "string-tau", "nan-tau", "nan-drop-fraction", "unknown-key",
-    "deep-nesting", "huge-integer",
+    "duplicate-tau_d", "deep-nesting", "huge-integer",
 ])
 def test_screen_refuses_malformed_thresholds_file(experiment, tmp_path, capsys, corrupt, message):
+    """A malformed thresholds.json is refused with its path, and left as it is: not recalibrated."""
     ckpts = copy_run(experiment, tmp_path)
     screen = screen_argv(experiment["cfg"], ckpts, tmp_path)
     path = tmp_path / "thresholds.json"
     assert cli.main(screen) == 0
     path.write_text(corrupt(json.loads(path.read_text())))
+    corrupted = path.read_bytes()
     capsys.readouterr()
     assert cli.main(screen) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {message}"), err
+    assert path.read_bytes() == corrupted
 
 
 # what a byte edit of a JSON file may insert: any bytes, or one of these

@@ -9,15 +9,20 @@ must reach 0.90 on at least 10 of the 12 seeds. No seed is ever dropped
 for failing.
 
 One line per seed is printed, pass or fail: far@5 and shifted@5, the
-share of each dataset's rows routed to each outcome (from routing.csv), the
-number of scored rows whose s_d equals tau_d, and the sign of the
-rescore AUROC change at a 10% drop. It reports and gates nothing.
+share of in_test rows with s_d > tau_d beside its exchangeable expectation
+and central 95% band (in_domain_band), the share of each dataset's rows
+routed to each outcome (from routing.csv), the number of scored rows whose
+s_d equals tau_d, and the sign of the rescore AUROC change at a 10% drop.
+It reports and gates nothing.
 """
 
 import dataclasses
 import io
+import itertools
 import json
+import math
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 from dpnet import cli, pipeline
 from dpnet.config import default_config, save_config
@@ -25,6 +30,29 @@ from dpnet.config import default_config, save_config
 SEEDS = range(12)
 FAR_AT_5_MIN_SEEDS = 10
 OUTCOMES = [o.value for o in pipeline.Outcome]
+
+
+def in_domain_band(n: int, p: float, m: int) -> tuple[float, float, float]:
+    """The expected share of m test rows above tau_d, calibrated at drop fraction p on n validation
+    rows, and the central 95% band of that share, for rows exchangeable with the validation rows.
+
+    tau_d is the (n - k)-th smallest of n scores, k = floor(p*n), so a new row exceeds it with
+    probability (k + 1)/(n + 1); over validation draws that probability is Beta(k + 1, n - k)
+    (split conformal; Angelopoulos & Bates, arXiv:2107.07511). The count of m rows flagged is
+    then Beta-binomial(m, k + 1, n - k), whose quantiles bound the band.
+    """
+    k = math.floor(Fraction(repr(p)) * n)  # as pipeline.calibrate_threshold takes it
+    a, b = k + 1, n - k
+
+    def log_beta(x, y):
+        return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
+
+    log_choose = [math.lgamma(m + 1) - math.lgamma(x + 1) - math.lgamma(m - x + 1) for x in range(m + 1)]
+    cdf = list(itertools.accumulate(
+        math.exp(log_choose[x] + log_beta(x + a, m - x + b) - log_beta(a, b)) for x in range(m + 1)
+    ))
+    low, high = (next(x for x, c in enumerate(cdf) if c >= q) for q in (0.025, 0.975))
+    return a / (n + 1), low / m, high / m
 
 
 def run_seed(s: int, root) -> dict:
@@ -55,12 +83,17 @@ def run_seed(s: int, root) -> dict:
     for line in (out / "routing.csv").read_text().splitlines()[1:]:
         name, outcome, count = line.split(",")
         routed.setdefault(name, {})[outcome] = int(count)
-    tau_d = json.loads((out / "thresholds.json").read_text())["tau_d"]
+    stored = json.loads((out / "thresholds.json").read_text())
+    tau_d = stored["tau_d"]
+    rows = [line.split(",") for line in (out / "scores.csv").read_text().splitlines()[1:]]
     # scored rows whose s_d is tau_d
-    ties = sum(float(line.split(",")[1]) == tau_d for line in (out / "scores.csv").read_text().splitlines()[1:])
+    ties = sum(float(r[1]) == tau_d for r in rows)
+    in_test = [float(r[1]) for r in rows if r[0].startswith("in_test/")]
     return {
         "far_at_5": rates["far_ood", 0.05],
         "shifted_at_5": rates["shifted_test", 0.05],
+        "in_flagged": sum(x > tau_d for x in in_test) / len(in_test),
+        "in_band": in_domain_band(stored["in_val_rows"], stored["drop_fraction_detector"], len(in_test)),
         "rescore_0": rescore[0.0],
         "rescore_10": rescore[0.1],
         "far_trusted": routed["far_ood"]["trusted"],
@@ -76,8 +109,10 @@ def report_line(s: int, r: dict) -> str:
     )
     change = r["rescore_10"] - r["rescore_0"]
     sign = "+" if change > 0 else "-" if change < 0 else "0"
+    expected, low, high = r["in_band"]
     return (
         f"[seed {s}] far@5 {r['far_at_5']:.3f}, shifted@5 {r['shifted_at_5']:.3f}; "
+        f"in_test above tau_d {r['in_flagged']:.3f} (exchangeable {expected:.3f}, 95% {low:.3f}-{high:.3f}); "
         f"routed {'/'.join(OUTCOMES)}: {shares}; {r['ties']} rows at tau_d; rescore@10% {sign}"
     )
 
