@@ -293,10 +293,11 @@ _JSON_CACHE_SIZE = 8
 
 def _unique_keys(pairs: list) -> dict:
     """A JSON object's dict; a key given twice is refused, where json.loads alone would keep its last value."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):  # a LookupError, so that _build_json's digit-limit branch cannot take it
-        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
-        raise LookupError(f"duplicate key {key!r}")
+    obj = {}
+    for key, value in pairs:
+        if key in obj:  # a LookupError, so that _build_json's digit-limit branch cannot take it
+            raise LookupError(f"duplicate key {key!r}")
+        obj[key] = value
     return obj
 
 

@@ -66,8 +66,9 @@ class _Cycler:
 
     def take(self, k: int) -> np.ndarray:
         """The next k indices; none for an empty set."""
-        while len(self.pending) < k and self.n:
-            self.pending = np.concatenate((self.pending, self.rng.permutation(self.n)))
+        if len(self.pending) < k and self.n:  # every permutation this call needs, drawn in order, joined once
+            draws = -(-(k - len(self.pending)) // self.n)
+            self.pending = np.concatenate((self.pending, *(self.rng.permutation(self.n) for _ in range(draws))))
         out, self.pending = self.pending[:k], self.pending[k:]
         return out
 

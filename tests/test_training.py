@@ -1,3 +1,4 @@
+import time
 from unittest import mock
 
 import numpy as np
@@ -132,6 +133,25 @@ def test_small_ood_set_cycles_past_batch_size():
     # an empty source yields no rows, however many are asked for
     empty = _Cycler(0, np.random.default_rng(15)).take(16)
     assert empty.shape == (0,) and empty.dtype == np.int64
+
+
+def test_cycler_draws_what_one_permutation_at_a_time_draws():
+    """take(k) for k far past the set's size gives the indices, and leaves the generator in the state,
+    of drawing one permutation per loop pass; it costs time linear in k, so 120,000 indices from 3 rows
+    take well under 2 s."""
+    for n in (1, 3, 7):
+        cycler, rng, pending = _Cycler(n, np.random.default_rng(40)), np.random.default_rng(40), np.empty(0, np.int64)
+        for k in (2, 50, 1, 333, n, 0, 1000):
+            while len(pending) < k:
+                pending = np.concatenate((pending, rng.permutation(n)))
+            expected, pending = pending[:k], pending[k:]
+            got = cycler.take(k)
+            assert got.dtype == np.int64 and np.array_equal(got, expected)
+        assert cycler.rng.bit_generator.state == rng.bit_generator.state
+    start = time.perf_counter()
+    taken = _Cycler(3, np.random.default_rng(41)).take(120_000)
+    assert time.perf_counter() - start < 2.0
+    assert len(taken) == 120_000 and np.array_equal(np.bincount(taken), [40_000] * 3)
 
 
 def test_validation_set_only_adds_a_trace():
