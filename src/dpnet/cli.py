@@ -56,19 +56,30 @@ def _load_rows(
     return examples
 
 
-def cmd_gen(cfg: cfgmod.ExperimentConfig, out: Path) -> int:
+def _draw(cfg: cfgmod.ExperimentConfig, config_path: str, names) -> list[data.ExampleSet]:
+    """Each named set drawn from the config; a set whose features overflow is refused naming the file and the set."""
+    sets = []
+    for name in names:
+        try:
+            sets.append(cfg.dataset.draw(name))
+        except ValueError as exc:
+            raise ValueError(f"{config_path}: drawing {name}: {exc}") from None
+    return sets
+
+
+def cmd_gen(cfg: cfgmod.ExperimentConfig, config_path: str, out: Path) -> int:
+    sets = _draw(cfg, config_path, cfgmod.GENERATED)  # all drawn before the first is written
     out.mkdir(parents=True, exist_ok=True)
-    for name in cfgmod.GENERATED:
-        examples, path = cfg.dataset.draw(name), out / f"{name}.csv"
-        data.save_csv(path, examples)
-        print(f"wrote {path} ({len(examples)} rows)")
+    for name, examples in zip(cfgmod.GENERATED, sets):
+        data.save_csv(out / f"{name}.csv", examples)
+        print(f"wrote {out / name}.csv ({len(examples)} rows)")
     return 0
 
 
-def cmd_train(cfg: cfgmod.ExperimentConfig, role_name: str, out: Path) -> int:
+def cmd_train(cfg: cfgmod.ExperimentConfig, config_path: str, role_name: str, out: Path) -> int:
     """Train one role on in_train.csv and in_val.csv; its OOD exposure sets are drawn from the config."""
     role = getattr(cfg, role_name)
-    ood_sets = [cfg.dataset.draw(source.name) for source in role.ood_sources]
+    ood_sets = _draw(cfg, config_path, [source.name for source in role.ood_sources])
     classes, in_train, in_val = cfg.dataset.classes, out / "in_train.csv", out / "in_val.csv"
     # every draw has the generators' feature count
     train_set = _load_rows(in_train, ood_sets[0].dim if ood_sets else None, classes, expect="exposure sets have")
@@ -143,13 +154,14 @@ def _calibration_inputs(cfg: cfgmod.ExperimentConfig, digests: tuple[str, str], 
 def _calibrate(
     cfg: cfgmod.ExperimentConfig, inputs: dict, val: pipeline.ScreenScores, path: Path
 ) -> pipeline.ScreeningThresholds:
-    """Both thresholds from the in_val.csv scores ``val``, written to ``path`` with ``inputs``."""
+    """Both thresholds from the in_val.csv scores ``val``, written to ``path`` with ``inputs``; prints ``wrote <path>``."""
     thresholds = pipeline.ScreeningThresholds(
         tau_d=pipeline.calibrate_threshold(val.s_d, cfg.screening.drop_fraction_detector),
         tau_c=pipeline.calibrate_threshold(val.s_c, cfg.screening.drop_fraction_classifier),
     )
     stored = _StoredThresholds(**inputs, in_val_rows=len(val.s_d), **dataclasses.asdict(thresholds))
     cfgmod.write_json(path, dataclasses.asdict(stored))
+    print(f"wrote {path}")
     return thresholds
 
 
@@ -176,7 +188,7 @@ def _screening_thresholds(
     inputs = _calibration_inputs(cfg, digests, val_raw)
     if stored is not None and all(getattr(stored, key) == value for key, value in inputs.items()):
         return pipeline.ScreeningThresholds(tau_d=stored.tau_d, tau_c=stored.tau_c)
-    val_set = _load_rows(val_path, models[0].layer_sizes[0], what="validation rows", raw=val_raw)
+    val_set = _load_rows(val_path, models[0].input_dim, what="validation rows", raw=val_raw)
     return _calibrate(cfg, inputs, _screen_scores(models, ckpts, val_path, val_set.features), path)
 
 
@@ -231,7 +243,7 @@ def cmd_screen(cfg: cfgmod.ExperimentConfig, ckpts: list[str], input_path: str, 
     except OSError:
         same = False
     val_raw = _read_dataset(val_path) if same else None
-    examples = _load_rows(input_path, models[0].layer_sizes[0], raw=val_raw)
+    examples = _load_rows(input_path, models[0].input_dim, raw=val_raw)
     scores = _screen_scores(models, ckpts, input_path, examples.features)
     thresholds = _screening_thresholds(cfg, ckpts, models, digests, out, val_raw)
     (counts,) = _write_decisions(out / "decisions.csv", thresholds, [("", scores)])
@@ -250,14 +262,13 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
     checked before anything is written.
     """
     models, digests = _load_model_pair(ckpts)
-    classifier = models[0]
-    dim = classifier.layer_sizes[0]
+    dim = models[0].input_dim
     val_raw = _read_dataset(out / "in_val.csv")
     sets = {
         "in_val": _load_rows(out / "in_val.csv", dim, what="validation rows", raw=val_raw),
         "in_test": _load_rows(out / "in_test.csv", dim),
         # its labels are what discard_and_rescore scores
-        "shifted_test": _load_rows(out / "shifted_test.csv", dim, classifier.num_classes),
+        "shifted_test": _load_rows(out / "shifted_test.csv", dim, models[0].num_classes),
         "far_ood": _load_rows(out / "far_ood.csv", dim),
     }
     scores = {
@@ -284,8 +295,8 @@ def cmd_eval(cfg: cfgmod.ExperimentConfig, ckpts: list[str], out: Path) -> int:
     rows = pipeline.discard_and_rescore(shifted.referable, labels, shifted.s_d, [(0.0, math.inf), *taus])
     _write_table(out / "rescore_auroc.csv", "drop_fraction,retained,auroc", map(dataclasses.astuple, rows))
 
-    for name in (_THRESHOLDS_FILE, "scores.csv", "routing.csv", "detection_rates.csv", "rescore_auroc.csv"):
-        print(f"wrote {out / name}")  # in the order written
+    for name in ("scores.csv", "routing.csv", "detection_rates.csv", "rescore_auroc.csv"):
+        print(f"wrote {out / name}")  # in the order written, after _calibrate's thresholds.json
     return 0
 
 
@@ -295,7 +306,7 @@ def cmd_plot(ckpt: str, input_path: str, out: Path, resolution: int) -> int:
         raise ValueError(
             f"{ckpt}: density grids need a 3-class model, found {model.num_classes} classes"
         )
-    examples = _load_rows(input_path, model.layer_sizes[0])
+    examples = _load_rows(input_path, model.input_dim)
     try:
         logits = network.forward(model, examples.features[0])
     except network.NonFiniteLogits:
@@ -354,11 +365,11 @@ def main(argv: list[str] | None = None) -> int:
         # only gen and plot create the directory: the others read their inputs from it
         out = Path(args.out or cfg.out_dir)
         if args.command == "gen":
-            return cmd_gen(cfg, out)
+            return cmd_gen(cfg, args.config, out)
         if args.command == "train":
             if getattr(cfg, args.role) is None:  # checked here, where the config's path is known
                 raise ValueError(f"{args.config}: no settings for role {args.role!r}")
-            return cmd_train(cfg, args.role, out)
+            return cmd_train(cfg, args.config, args.role, out)
         if args.command == "screen":
             return cmd_screen(cfg, args.checkpoint, args.input, out)
         return cmd_eval(cfg, args.checkpoint, out)  # the parser admits no other command

@@ -87,7 +87,8 @@ def gen_shifted(n: int, classes: int, seed: int, shift: float, scale: float) -> 
     centers = _cluster_centers(classes) + shift
     counts = [n // classes + (1 if k < n % classes else 0) for k in range(classes)]
     blocks = [centers[k] + rng.standard_normal((counts[k], 2)) for k in range(classes)]
-    features = scale * np.vstack(blocks)
+    with np.errstate(over="ignore"):  # a scale that overflows is refused by ExampleSet, without a numpy warning
+        features = scale * np.vstack(blocks)
     labels = np.repeat(np.arange(classes), counts)
     return ExampleSet(features, labels)
 

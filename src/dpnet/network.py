@@ -9,7 +9,7 @@ model's parameters are one float64 vector: the checkpoint payload.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,33 +64,24 @@ def _param_views(sizes: tuple[int, ...], flat: np.ndarray):
     return weights, biases
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity: a field-wise == cannot compare arrays
 class FeedForwardModel:
-    """Dense network; the constructor copies weights and biases into params and keeps views."""
+    """Dense network; the constructor copies params, the one float64 vector, and keeps per-layer views of the copy."""
 
     layer_sizes: tuple[int, ...]
-    weights: list[np.ndarray]  # weights[l] has shape (out_l, in_l)
-    biases: list[np.ndarray]
+    params: np.ndarray  # laid out as _param_views reads it
     activation: str = "relu"
-    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.layer_sizes = _check_sizes(self.layer_sizes)
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        n_layers = len(self.layer_sizes) - 1
-        if len(self.weights) != n_layers or len(self.biases) != n_layers:
-            raise ValueError("weights/biases do not match layer_sizes")
-        self.params = np.empty(_param_count(self.layer_sizes))
-        weights, biases = _param_views(self.layer_sizes, self.params)
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != weights[l].shape or b.shape != biases[l].shape:
-                raise ValueError(f"layer {l}: parameter shape mismatch")
-            weights[l][...] = w
-            biases[l][...] = b
+        self.params = np.array(self.params, dtype=float)
+        if self.params.shape != (_param_count(self.layer_sizes),):
+            raise ValueError(f"params must be a vector of length {_param_count(self.layer_sizes)}")
         if not np.isfinite(self.params).all():
             raise ValueError("parameters must be finite")
-        self.weights, self.biases = weights, biases
+        self.weights, self.biases = _param_views(self.layer_sizes, self.params)  # weights[l] has shape (out_l, in_l)
 
     @property
     def input_dim(self) -> int:
@@ -101,11 +92,11 @@ class FeedForwardModel:
         return self.layer_sizes[-1]
 
     def copy(self) -> "FeedForwardModel":
-        """An independent model: the constructor copies into a new vector."""
-        return FeedForwardModel(self.layer_sizes, self.weights, self.biases, self.activation)
+        """An independent model: the constructor copies the vector."""
+        return FeedForwardModel(self.layer_sizes, self.params, self.activation)
 
 
-@dataclass
+@dataclass(eq=False)
 class GradientSet:
     """Parameter gradients: one vector in the model's layout, with per-layer views."""
 
@@ -118,13 +109,10 @@ def init_model(layer_sizes, seed: int, activation: str = "relu") -> FeedForwardM
     """Seeded He initialization: W ~ N(0, 2/fan_in), biases zero."""
     sizes = _check_sizes(tuple(layer_sizes))
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        scale = math.sqrt(2.0 / fan_in)
-        weights.append(rng.standard_normal((fan_out, fan_in)) * scale)
-        biases.append(np.zeros(fan_out))
-    return FeedForwardModel(sizes, weights, biases, activation)
+    params = np.zeros(_param_count(sizes))
+    for w in _param_views(sizes, params)[0]:  # fan_in = w.shape[1]
+        w[...] = rng.standard_normal(w.shape) * math.sqrt(2.0 / w.shape[1])
+    return FeedForwardModel(sizes, params, activation)
 
 
 def _forward_cached(model: FeedForwardModel, X: np.ndarray):
@@ -256,4 +244,4 @@ def load_checkpoint(path) -> FeedForwardModel:
     flat = np.frombuffer(blob, dtype="<f8")
     if not np.isfinite(flat).all():
         raise ValueError(f"{path}: non-finite parameters")
-    return FeedForwardModel(sizes, *_param_views(sizes, flat), activation)
+    return FeedForwardModel(sizes, flat, activation)

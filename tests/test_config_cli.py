@@ -594,6 +594,22 @@ def test_eval_stdout_names_each_file_it_writes(experiment, tmp_path, monkeypatch
     ]
 
 
+def test_screen_stdout_names_each_file_it_writes(experiment, tmp_path, monkeypatch):
+    """A cold screen prints `wrote <path>` for thresholds.json, then decisions.csv; a warm one
+    for decisions.csv alone, then the counts."""
+    written = []
+    write = _atomic.write
+    monkeypatch.setattr(_atomic, "write", lambda path: written.append(path) or write(path))
+    screen = screen_argv(experiment["cfg"], copy_run(experiment, tmp_path), tmp_path)
+    for names in (["thresholds.json", "decisions.csv"], ["decisions.csv"]):  # cold, then warm
+        written.clear()
+        rc, stdout = run_cli(screen)
+        assert rc == 0
+        assert [path.name for path in written] == names
+        assert stdout.startswith("".join(f"wrote {path}\n" for path in written))
+        assert stdout.count("wrote ") == len(names)
+
+
 def test_plot_writes_density_grid(experiment, tmp_path):
     rc, stdout = run_cli([
         "plot",
@@ -893,7 +909,7 @@ def test_cli_refuses_checkpoint_whose_logits_overflow(experiment, tmp_path, caps
     ckpt = tmp_path / f"{role}.ckpt"
     # re-saved as relu, because tanh keeps every hidden value in [-1, 1] and so the logits finite
     loaded = load_checkpoint(ckpt)
-    model = FeedForwardModel(loaded.layer_sizes, loaded.weights, loaded.biases, activation="relu")
+    model = FeedForwardModel(loaded.layer_sizes, loaded.params, activation="relu")
     model.params *= 1e150
     save_checkpoint(model, ckpt)
     # screen and plot score their --input first; eval scores in_val.csv first
@@ -953,6 +969,26 @@ def test_refused_command_creates_no_out_dir(experiment, tmp_path):
         assert not absent.exists(), argv[0]
 
 
+@pytest.mark.parametrize("argv, drawn", [
+    (["gen"], "shifted_test"),  # in_train, in_val and in_test draw at scale 1 and come first
+    (["train", "--role", "detector"], "shifted_train"),
+])
+def test_overflowing_draw_is_refused_before_anything_is_written(experiment, tmp_path, capsys, argv, drawn):
+    """A dataset scale whose draw overflows float64: exit 1 naming the config file and the set,
+    no numpy warning (the suite makes those errors), and an existing run directory unchanged."""
+    copy_run(experiment, tmp_path)
+    cfg, path = small_config(str(tmp_path)), tmp_path / "config.json"
+    save_config(dataclasses.replace(cfg, dataset=dataclasses.replace(cfg.dataset, scale=1e308)), path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert cli.main([*argv, "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: drawing {drawn}: features must be finite\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    absent = tmp_path / "absent"
+    assert cli.main([*argv, "--config", str(path), "--out", str(absent)]) == 1
+    assert not absent.exists()
+
+
 def test_screen_reuses_thresholds_byte_for_byte(experiment, tmp_path):
     ckpts = copy_run(experiment, tmp_path)
     screen = screen_argv(experiment["cfg"], ckpts, tmp_path)
@@ -961,7 +997,8 @@ def test_screen_reuses_thresholds_byte_for_byte(experiment, tmp_path):
     assert rc == 0
     decisions, written = (tmp_path / "decisions.csv").read_bytes(), thresholds.read_bytes()
     rc, warm = run_cli(screen)
-    assert rc == 0 and warm == cold
+    # a cold screen names the thresholds.json it writes; the warm one writes only decisions.csv
+    assert rc == 0 and cold == f"wrote {thresholds}\n{warm}"
     assert (tmp_path / "decisions.csv").read_bytes() == decisions
     assert thresholds.read_bytes() == written
     for _ in range(2):
@@ -994,6 +1031,8 @@ def test_screen_of_in_val_matches_a_screen_of_its_copy(experiment, tmp_path, whe
     written = {name: (tmp_path / name).read_bytes() for name in ("decisions.csv", "thresholds.json")}
     if when == "cold":
         (tmp_path / "thresholds.json").unlink()
+    else:  # the first screen was cold; a warm one does not name thresholds.json
+        stdout = stdout.replace(f"wrote {tmp_path / 'thresholds.json'}\n", "", 1)
     (tmp_path / "decisions.csv").unlink()
     assert run_cli([*screen, str(tmp_path / "in_val.csv")]) == (0, stdout)
     assert {name: (tmp_path / name).read_bytes() for name in written} == written

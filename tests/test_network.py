@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import re
 import tempfile
@@ -14,6 +15,7 @@ from dpnet.data import ExampleSet
 from dpnet.network import (
     CHECKPOINT_MAGIC,
     FeedForwardModel,
+    GradientSet,
     NonFiniteLogits,
     backward,
     checkpoint_bytes,
@@ -52,7 +54,7 @@ def set_params(model, vec):
 
 
 def test_identity_single_layer():
-    model = FeedForwardModel((2, 2), [np.eye(2)], [np.zeros(2)], "relu")
+    model = FeedForwardModel((2, 2), [1.0, 0.0, 0.0, 1.0, 0.0, 0.0], "relu")  # W0 = I, b0 = 0
     assert np.allclose(forward(model, [1.0, 2.0]), [1.0, 2.0], atol=1e-15)
 
 
@@ -99,9 +101,7 @@ def test_overflowing_logits_refused_at_every_entry_point(entry):
 
 def test_overflow_in_the_zero_padding_is_not_refused():
     """Only the given rows are checked: here the padding rows' logits overflow and the real row's are 0."""
-    model = FeedForwardModel(
-        (1, 1, 2), [np.array([[-1.0]]), np.array([[1e10], [0.0]])], [np.array([1e300]), np.zeros(2)], "relu"
-    )
+    model = FeedForwardModel((1, 1, 2), [-1.0, 1e300, 1e10, 0.0, 0.0, 0.0], "relu")  # W0, b0, W1, b1
     X = np.array([[1e300]])
     assert np.array_equal(forward_batch(model, X), [[0.0, 0.0]])
     for call in ENTRY_POINTS.values():
@@ -125,16 +125,51 @@ def test_dimension_errors():
 
 
 def test_model_constructor_validation():
-    weights, biases = [np.eye(2), np.ones((3, 2))], [np.zeros(2), np.zeros(3)]
-    assert FeedForwardModel((2, 2, 3), weights, biases).num_classes == 3
+    # W0 = I (2, 2), b0 = 0, W1 = ones (3, 2), b1 = 0: 6 + 9 values
+    params = np.concatenate([np.eye(2).ravel(), np.zeros(2), np.ones(6), np.zeros(3)])
+    assert FeedForwardModel((2, 2, 3), params).num_classes == 3
     with pytest.raises(ValueError, match="unknown activation 'swish'"):
-        FeedForwardModel((2, 2, 3), weights, biases, "swish")
-    with pytest.raises(ValueError, match="do not match layer_sizes"):
-        FeedForwardModel((2, 2, 3), weights[:1], biases)
-    with pytest.raises(ValueError, match="layer 1: parameter shape mismatch"):
-        FeedForwardModel((2, 2, 3), weights, [biases[0], np.zeros(2)])
+        FeedForwardModel((2, 2, 3), params, "swish")
+    with pytest.raises(ValueError, match="^params must be a vector of length 15$"):
+        FeedForwardModel((2, 2, 3), params[:-1])
+    with pytest.raises(ValueError, match="^params must be a vector of length 15$"):
+        FeedForwardModel((2, 2, 3), params.reshape(3, 5))
     with pytest.raises(ValueError, match="parameters must be finite"):
-        FeedForwardModel((2, 2, 3), [weights[0], np.full((3, 2), np.nan)], biases)
+        FeedForwardModel((2, 2, 3), np.where(np.arange(15) == 10, np.nan, params))
+
+
+def test_model_copies_its_vector_and_keeps_views_of_the_copy():
+    params = np.arange(15.0)
+    model = FeedForwardModel((2, 2, 3), params)
+    params[0] = -1.0
+    assert model.params[0] == 0.0
+    assert model.weights[1].base is model.params and model.biases[1].base is model.params
+    model.params[-1] = 7.0
+    assert model.biases[1][-1] == 7.0
+
+
+def test_models_and_gradient_sets_compare_by_identity():
+    """A field-wise == would raise on the arrays, or call two models with equal shapes equal."""
+    a, b = init_model((2, 4, 3), 1), init_model((2, 4, 3), 1)
+    assert a == a and a != b and a != a.copy()
+    grad = backward(a, [1.0, 2.0], [0.1, 0.2, 0.3])
+    assert isinstance(grad, GradientSet)
+    assert grad == grad and grad != backward(a, [1.0, 2.0], [0.1, 0.2, 0.3])
+
+
+# SHA-256 of checkpoint_bytes(init_model(sizes, seed, activation)), taken before init_model drew into views
+INIT_DIGESTS = {
+    ((2, 32, 32, 3), 101, "relu"): "4689f27b67e800c8ce2bbe18c46df6758f767b4055ba0c6cfe9299dce8752528",
+    ((2, 32, 32, 3), 202, "relu"): "a19c098da036e754105b80a7b669d23c39af4f794bb685cb235a5bf28c50e82f",
+    ((2, 32, 32, 3), 101, "tanh"): "ec770fba3f78e6bda2d1d640b2d4c4831ebee6b3616852f1ed154949c9c7181f",
+    ((3, 7, 5, 4), 9, "relu"): "485487cc23f2ca7ebb4ee9da114c0b8c57266bf734cec00cc9573373d8d4b39e",
+}
+
+
+@pytest.mark.parametrize("sizes, seed, activation", INIT_DIGESTS)
+def test_init_model_bytes_are_pinned(sizes, seed, activation):
+    got = hashlib.sha256(checkpoint_bytes(init_model(sizes, seed, activation))).hexdigest()
+    assert got == INIT_DIGESTS[sizes, seed, activation]
 
 
 def test_init_model_seeded_and_scaled():

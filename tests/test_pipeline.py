@@ -420,8 +420,7 @@ def test_discard_and_rescore_reports_nan_when_class_vanishes(classifier):
     # is near-maximally uncertain while x0 = +8 is confident
     picky = FeedForwardModel(
         layer_sizes=(2, 3),
-        weights=[np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])],
-        biases=[np.zeros(3)],
+        params=[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # W0 = [[1, 0], [0, 0], [0, 0]], b0 = 0
         activation="relu",
     )
     referable = np.column_stack([np.full(20, -8.0), np.zeros(20)])
