@@ -162,6 +162,8 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    # first, so that a file of another version is refused before any other key is checked
+    schema_version: typing.Literal[SCHEMA_VERSION] = field(default=SCHEMA_VERSION, kw_only=True)
     out_dir: str
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -241,7 +243,7 @@ def _from_json(tp, value, where: str = ""):
 
     where is the key path, used in every error message. A field whose
     type admits None may be left out and then takes None. A key that no
-    field declares is refused.
+    field declares is refused, and so is a Literal field's unlisted value.
     """
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
@@ -269,25 +271,17 @@ def _from_json(tp, value, where: str = ""):
             raise ValueError(f"{where} must be a list")
         item = typing.get_args(tp)[0]
         return tuple(_from_json(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    if typing.get_origin(tp) is typing.Literal:
+        if value not in typing.get_args(tp):
+            raise ValueError(f"unsupported {where} {value!r}")
+        return value
     kind, accepts = _SCALARS[tp]
     if not accepts(value):
         raise ValueError(f"{where} must be {kind}")
     return tp(value)
 
 
-def to_dict(cfg: ExperimentConfig) -> dict:
-    return {"schema_version": SCHEMA_VERSION, **_to_json(cfg)}
-
-
-def from_dict(d: dict) -> ExperimentConfig:
-    if not isinstance(d, dict) or "schema_version" not in d:
-        raise ValueError("missing key 'schema_version'")
-    if d["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {d['schema_version']!r}")
-    return _from_json(ExperimentConfig, {k: v for k, v in d.items() if k != "schema_version"}, "")
-
-
-# how many (builder, file bytes) results _load_json keeps; a config and a thresholds file per run
+# how many (file bytes, class) results read_json keeps; a config and a thresholds file per run
 _JSON_CACHE_SIZE = 8
 
 
@@ -302,8 +296,8 @@ def _unique_keys(pairs: list) -> dict:
 
 
 @functools.lru_cache(maxsize=_JSON_CACHE_SIZE)
-def _build_json(raw: bytes, build, *args):
-    """build(*args, value) for the JSON value in raw; a call that raises is not kept."""
+def _build_json(raw: bytes, cls):
+    """The dataclass cls, built by _from_json from the JSON value in raw; a call that raises is not kept."""
     try:  # universal newlines, as a text-mode read gives, so error positions count the same characters
         text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         value = json.loads(text, object_pairs_hook=_unique_keys)
@@ -311,27 +305,22 @@ def _build_json(raw: bytes, build, *args):
         raise ValueError(f"invalid JSON: {exc}") from None
     except ValueError:  # int() refuses a literal past the digit limit, advising a Python call
         raise ValueError(f"invalid JSON: an integer of more than {sys.get_int_max_str_digits()} digits") from None
-    return build(*args, value)
+    return _from_json(cls, value)
 
 
-def _load_json(path, build, *args):
-    """build(*args, value) for the JSON value in the file at path; every refusal starts with '<path>: '.
+def read_json(path, cls):
+    """The dataclass cls, built from the JSON file at path after _from_json checks every field.
 
-    The file is read on every call, but bytes that this builder built
-    recently are not decoded or checked again: the object built from
-    them before is returned. Builders return frozen dataclasses.
+    Every refusal starts with '<path>: '. The file is read on every call,
+    but bytes built as cls recently are not decoded or checked again: the
+    frozen dataclass built from them before is returned.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return _build_json(raw, build, *args)
+        return _build_json(raw, cls)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def read_json(path, cls):
-    """The dataclass cls, built from the JSON file at path after _from_json checks every field."""
-    return _load_json(path, _from_json, cls)
 
 
 def write_json(path, blob) -> None:
@@ -341,8 +330,8 @@ def write_json(path, blob) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    return _load_json(path, from_dict)
+    return read_json(path, ExperimentConfig)
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    write_json(path, to_dict(cfg))
+    write_json(path, _to_json(cfg))

@@ -141,8 +141,8 @@ def _parse_header(line: str, path) -> tuple[int, bool]:
         flag = int(parts[1].removeprefix("label:"))
     except ValueError:
         raise ValueError(f"{path}:1: malformed header counts") from None
-    # numpy refuses a row shape whose float64 bytes overflow its signed size type
-    if not 1 <= dim <= np.iinfo(np.intp).max // 8 or flag not in (0, 1):
+    # numpy refuses a row shape whose float64 bytes overflow its signed size type; int() also reads '_' and non-ASCII digits
+    if not 1 <= dim <= np.iinfo(np.intp).max // 8 or flag not in (0, 1) or "_" in line or not line.strip().isascii():
         raise ValueError(f"{path}:1: malformed header counts")
     return dim, bool(flag)
 
@@ -181,11 +181,15 @@ def _parse_lines(lines: list[str], dim: int, labeled: bool, classes: int | None)
     if commas.count(want - 1) != len(rows):
         got = next(c for c in commas if c != want - 1) + 1
         raise ValueError(f"expected {want} fields, got {got}")
-    tokens = ",".join(rows).split(",") if rows else []
+    text = ",".join(rows)
+    tokens = text.split(",") if rows else []
+    plain = text.isascii() and "_" not in text  # Python's float and int also read '_' and non-ASCII digits
     labels = None
     if labeled:
         labels = tokens[dim::want]
         del tokens[dim::want]
+    if not plain and any(not t.isascii() or "_" in t for t in tokens):
+        raise ValueError("non-numeric feature")
     try:  # np.array converts each str with Python's float
         features = np.array(tokens, dtype=float).reshape(len(rows), dim)
     except ValueError:
@@ -194,6 +198,8 @@ def _parse_lines(lines: list[str], dim: int, labeled: bool, classes: int | None)
         raise ValueError("non-finite feature")
     if labels is None:
         return features, None
+    if not plain:  # the features are plain, so a label is not
+        raise ValueError("label must be an integer")
     try:
         labels = [int(t) for t in labels]
     except ValueError:

@@ -37,10 +37,8 @@ from dpnet.config import (
     RoleConfig,
     ScreeningConfig,
     default_config,
-    from_dict,
     load_config,
     save_config,
-    to_dict,
     write_json,
 )
 from dpnet.data import ExampleSet, load_csv, save_csv
@@ -60,20 +58,37 @@ def test_default_config_roundtrips(tmp_path):
 
 def test_config_dict_roundtrip_preserves_everything():
     cfg = default_config()
-    assert from_dict(to_dict(cfg)) == cfg
-    assert to_dict(cfg)["schema_version"] == SCHEMA_VERSION
+    assert config._from_json(ExperimentConfig, config._to_json(cfg)) == cfg
+    assert config._to_json(cfg)["schema_version"] == SCHEMA_VERSION
 
     no_roles = dataclasses.replace(cfg, classifier=None, detector=None)
-    blob = to_dict(no_roles)
+    blob = config._to_json(no_roles)
     assert "classifier" not in blob and "detector" not in blob
-    assert from_dict(blob) == no_roles
+    assert config._from_json(ExperimentConfig, blob) == no_roles
 
 
 def test_config_rejects_other_schema_versions():
-    blob = to_dict(default_config())
+    blob = config._to_json(default_config())
     blob["schema_version"] = "dpn-exp-v1"
     with pytest.raises(ValueError, match="schema_version"):
-        from_dict(blob)
+        config._from_json(ExperimentConfig, blob)
+
+
+def test_config_checks_its_version_before_any_other_key(tmp_path):
+    """schema_version is read first: a file of another version is refused for its version, not for
+    a key that version may name, and a file without one is refused for the missing key."""
+    path = tmp_path / "config.json"
+    blob = config._to_json(default_config())
+    blob["schema_version"], blob["shifted_seed"] = "dpn-exp-v1", 5
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValueError) as refused:
+        load_config(path)
+    assert str(refused.value) == f"{path}: unsupported schema_version 'dpn-exp-v1'"
+    del blob["schema_version"]
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValueError) as refused:
+        load_config(path)
+    assert str(refused.value) == f"{path}: missing key 'schema_version'"
 
 
 DELETE = object()
@@ -137,14 +152,14 @@ def test_config_errors_name_the_key_path(tmp_path):
     ]
     file = tmp_path / "config.json"
     for path, value, message in cases:
-        blob = to_dict(default_config())
+        blob = config._to_json(default_config())
         holder = functools.reduce(operator.getitem, path[:-1], blob)
         if value is DELETE:
             del holder[path[-1]]
         else:
             holder[path[-1]] = value
         with pytest.raises(ValueError) as refused:
-            from_dict(blob)
+            config._from_json(ExperimentConfig, blob)
         assert str(refused.value) == message
         file.write_text(json.dumps(blob))
         with pytest.raises(ValueError) as refused:
@@ -675,7 +690,7 @@ def test_cli_reports_broken_config(tmp_path, capsys):
     assert rc == 1
     assert "invalid JSON" in capsys.readouterr().err
 
-    blob = to_dict(default_config(str(tmp_path / "run")))
+    blob = config._to_json(default_config(str(tmp_path / "run")))
     blob["model"]["hidden"] = 32
     path.write_text(json.dumps(blob))
     rc = cli.main(["gen", "--config", str(path)])
@@ -760,7 +775,7 @@ INPUT_DEFECTS = [
     ("eval", "shifted_test.csv", ("missing", "header-only", "wide", "unlabeled", "label-range")),
     ("eval", "far_ood.csv", ("missing", "header-only", "wide", "narrow")),
     ("screen", "input.csv", (
-        "missing", "header-only", "wide", "late-row", "late-utf8", "huge-label", "huge-width",
+        "missing", "header-only", "wide", "late-row", "late-utf8", "huge-label", "huge-width", "digit-separator",
     )),
     ("screen", "in_val.csv", ("missing", "header-only", "wide")),
     ("plot", "input.csv", ("missing", "header-only", "wide", "huge-label", "huge-width")),
@@ -795,6 +810,8 @@ def test_cli_refuses_bad_input_before_writing(experiment, tmp_path, capsys, comm
             "late-utf8": header + "\n" + f"0.5,0.5{label}\n" * 9000 + f"0.5,\udcff{label}\n",
             # a row of that many float64 values overflows numpy's size type
             "huge-width": f"features:{2**62},{header.split(',')[1]}\n",
+            # Python's float reads 1_0 as 10.0
+            "digit-separator": header + f"\n0.5,1_0{label}\n",
         }[defect], errors="surrogateescape")
     expect = "checkpoints expect"
     if command == "train":  # in_train.csv must match the exposure sets train draws; in_val.csv, in_train.csv
@@ -811,6 +828,7 @@ def test_cli_refuses_bad_input_before_writing(experiment, tmp_path, capsys, comm
         "late-row": f"{path}:9002: non-numeric feature",
         "late-utf8": f"{path}:9002: not UTF-8 (invalid start byte)",
         "huge-width": f"{path}:1: malformed header counts",
+        "digit-separator": f"{path}:2: non-numeric feature",
     }[defect]
     argv = {
         "train": ["train", "--config", experiment["cfg"], "--role", "classifier"],
@@ -1481,10 +1499,17 @@ def test_screen_loads_swapped_checkpoints_again(experiment, tmp_path, monkeypatc
 
 
 def test_repeated_screen_builds_nothing_again(experiment, tmp_path, monkeypatch):
-    """Of two identical screens, the second does not call config.from_dict."""
+    """Of two identical screens, the second does not build the config again."""
     calls = []
-    from_dict = config.from_dict
-    monkeypatch.setattr(config, "from_dict", lambda blob: calls.append(blob) or from_dict(blob))
+    from_json = config._from_json
+
+    def counted(tp, *args):
+        if tp is ExperimentConfig:
+            calls.append(args)
+        return from_json(tp, *args)
+
+    monkeypatch.setattr(config, "_from_json", counted)
+    config._build_json.cache_clear()  # the shared experiment's config may be kept from an earlier test
     screen = screen_argv(experiment["cfg"], copy_run(experiment, tmp_path), tmp_path)
     assert run_cli(screen)[0] == 0
     assert len(calls) == 1
@@ -1574,7 +1599,8 @@ def test_screen_recalibrates_when_thresholds_file_vanishes_before_its_read(exper
     written, read_json = path.read_bytes(), config.read_json
 
     def removed_then_read(name, cls):
-        Path(name).unlink()
+        if Path(name) == path:  # load_config reads the shared experiment's config.json through read_json too
+            path.unlink()
         return read_json(name, cls)
 
     monkeypatch.setattr(config, "read_json", removed_then_read)

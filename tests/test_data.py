@@ -154,6 +154,43 @@ def test_csv_parse_errors_name_lines(tmp_path):
         load_csv(path)
 
 
+# Python's float and int read '_' separators and any Unicode decimal digit; a CSV number is plain ASCII
+@pytest.mark.parametrize("text, message", [
+    ("features:2,label:0\n1_0,2.0\n", "2: non-numeric feature"),
+    ("features:2,label:0\n1.0,\u0661.5\n", "2: non-numeric feature"),  # ARABIC-INDIC DIGIT ONE
+    ("features:2,label:0\n1.0,2.0\u00a0\n", "2: non-numeric feature"),  # a no-break space
+    ("features:2,label:1\n1.0,2.0,\u0662\n", "2: label must be an integer"),
+    ("features:2,label:1\n1.0,2.0,1_0\n", "2: label must be an integer"),
+    ("features:\u0662,label:0_1\n1.0,2.0\n", "1: malformed header counts"),
+    ("features:\u0662,label:0\n1.0,2.0\n", "1: malformed header counts"),
+    ("features:2,label:0_1\n1.0,2.0,1\n", "1: malformed header counts"),
+    ("features:2_0,label:0\n", "1: malformed header counts"),
+    # the earlier rule is named: field count, then feature, then label; then the earlier line
+    ("features:2,label:1\n1_0,2.0\n", "2: expected 3 fields, got 2"),
+    ("features:2,label:1\n1_0,2.0,\u0662\n", "2: non-numeric feature"),
+    ("features:2,label:1\n1.0,2.0,1_0\n1.0,\u0661,0\n", "2: label must be an integer"),
+    ("features:2,label:1\n" + "1.0,2.0,0\n" * 20 + "1.0,2.0,1_0\n", "22: label must be an integer"),
+], ids=[
+    "feature-underscore", "feature-arabic-indic", "feature-no-break-space", "label-arabic-indic",
+    "label-underscore", "header-both", "header-width", "header-label-flag", "header-width-underscore",
+    "field-count-first", "feature-before-label", "earlier-line-first", "later-piece",
+])
+def test_csv_numbers_are_plain_ascii(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    for rows_per_piece in (1, 8, datamod.CHUNK_ROWS):
+        with mock.patch.object(datamod, "CHUNK_ROWS", rows_per_piece), pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}:{message}"
+
+
+def test_csv_numbers_keep_ascii_whitespace_and_a_leading_plus(tmp_path):
+    path = tmp_path / "spaced.csv"
+    path.write_text("features: +2 ,label:1\n +1.5 ,\t-2e0, +2 \n")
+    loaded = load_csv(path)
+    assert loaded.features.tolist() == [[1.5, -2.0]] and loaded.labels.tolist() == [2]
+
+
 @pytest.mark.parametrize("dim", [2**60, 2**62, 10**23])
 def test_csv_header_width_past_numpy_is_refused(tmp_path, dim):
     """A feature count whose float64 row overflows numpy's size type is a malformed header."""

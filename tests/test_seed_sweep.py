@@ -13,7 +13,9 @@ share of in_test rows with s_d > tau_d beside its exchangeable expectation
 and central 95% band (in_domain_band), the share of each dataset's rows
 routed to each outcome (from routing.csv), the number of scored rows whose
 s_d equals tau_d, and the sign of the rescore AUROC change at a 10% drop.
-It reports and gates nothing.
+Beside them come exact references from the known generator (oracle_line):
+the density oracle's far@5 and shifted@5, and the accuracy of the Bayes
+classifier on shifted_test. It reports and gates nothing.
 """
 
 import dataclasses
@@ -24,7 +26,9 @@ import math
 from contextlib import redirect_stdout
 from fractions import Fraction
 
-from dpnet import cli, pipeline
+import numpy as np
+
+from dpnet import cli, data, pipeline
 from dpnet.config import default_config, save_config
 
 SEEDS = range(12)
@@ -53,6 +57,26 @@ def in_domain_band(n: int, p: float, m: int) -> tuple[float, float, float]:
     ))
     low, high = (next(x for x, c in enumerate(cdf) if c >= q) for q in (0.025, 0.975))
     return a / (n + 1), low / m, high / m
+
+
+def oracle_line(out, classes: int, drop_fraction: float) -> str:
+    """The exact references from the generator, on the seed's CSVs in out.
+
+    In-domain data is the equal mixture of unit-variance Gaussians at data._cluster_centers(classes).
+    The density oracle scores -log p_in(x) and is calibrated at drop_fraction on in_val.csv, as tau_d
+    is; the Bayes classifier picks the nearest centre, since the priors are equal and the variance one.
+    """
+    centers = data._cluster_centers(classes)
+    sets = {name: data.load_csv(out / f"{name}.csv") for name in ("in_val", "far_ood", "shifted_test")}
+    sq = {name: ((x.features[:, None, :] - centers) ** 2).sum(axis=2) for name, x in sets.items()}
+    score = {
+        name: math.log(classes) + math.log(2 * math.pi) - np.logaddexp.reduce(-0.5 * d, axis=1)
+        for name, d in sq.items()
+    }
+    tau = pipeline.calibrate_threshold(score["in_val"], drop_fraction)
+    far, shifted = (pipeline.ood_detection_rate(score[name], tau) for name in ("far_ood", "shifted_test"))
+    bayes = np.mean(sq["shifted_test"].argmin(axis=1) == sets["shifted_test"].labels)
+    return f"oracle far@5 {far:.3f}, shifted@5 {shifted:.3f}; Bayes shifted accuracy {bayes:.3f}"
 
 
 def run_seed(s: int, root) -> dict:
@@ -99,6 +123,7 @@ def run_seed(s: int, root) -> dict:
         "far_trusted": routed["far_ood"]["trusted"],
         "routed": routed,
         "ties": ties,
+        "oracle": oracle_line(out, cfg.dataset.classes, stored["drop_fraction_detector"]),
     }
 
 
@@ -113,7 +138,7 @@ def report_line(s: int, r: dict) -> str:
     return (
         f"[seed {s}] far@5 {r['far_at_5']:.3f}, shifted@5 {r['shifted_at_5']:.3f}; "
         f"in_test above tau_d {r['in_flagged']:.3f} (exchangeable {expected:.3f}, 95% {low:.3f}-{high:.3f}); "
-        f"routed {'/'.join(OUTCOMES)}: {shares}; {r['ties']} rows at tau_d; rescore@10% {sign}"
+        f"routed {'/'.join(OUTCOMES)}: {shares}; {r['ties']} rows at tau_d; rescore@10% {sign}; {r['oracle']}"
     )
 
 
