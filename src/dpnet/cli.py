@@ -367,8 +367,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gen":
             return cmd_gen(cfg, args.config, out)
         if args.command == "train":
-            if getattr(cfg, args.role) is None:  # checked here, where the config's path is known
-                raise ValueError(f"{args.config}: no settings for role {args.role!r}")
             return cmd_train(cfg, args.config, args.role, out)
         if args.command == "screen":
             return cmd_screen(cfg, args.checkpoint, args.input, out)

@@ -165,10 +165,10 @@ class ExperimentConfig:
     # first, so that a file of another version is refused before any other key is checked
     schema_version: typing.Literal[SCHEMA_VERSION] = field(default=SCHEMA_VERSION, kw_only=True)
     out_dir: str
+    classifier: RoleConfig
+    detector: RoleConfig
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    classifier: RoleConfig | None = None
-    detector: RoleConfig | None = None
     screening: ScreeningConfig = field(default_factory=ScreeningConfig)
     evaluation: EvalConfig = field(default_factory=EvalConfig)
 
@@ -214,49 +214,30 @@ _SCALARS = {
 
 @functools.cache
 def _fields(cls) -> tuple:
-    """(name, type, optional) for each field of a config dataclass.
+    """(name, type) for each field of a config dataclass, in declared order.
 
-    A field declared X | None comes out as (name, X, True). Cached
-    because resolving the type hints costs more than a whole load.
+    Cached because resolving the type hints costs more than a whole load.
     """
     hints = typing.get_type_hints(cls)
-    out = []
-    for f in dataclasses.fields(cls):
-        args = typing.get_args(hints[f.name])
-        optional = type(None) in args
-        out.append((f.name, args[0] if optional else hints[f.name], optional))
-    return tuple(out)
-
-
-def _to_json(value):
-    """JSON form of a config value; fields set to None (absent roles) are left out."""
-    if dataclasses.is_dataclass(value):
-        items = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
-        return {name: _to_json(v) for name, v in items if v is not None}
-    if isinstance(value, tuple):
-        return [_to_json(v) for v in value]
-    return value
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
 def _from_json(tp, value, where: str = ""):
     """Check a JSON value against the declared type tp and build it.
 
-    where is the key path, used in every error message. A field whose
-    type admits None may be left out and then takes None. A key that no
-    field declares is refused, and so is a Literal field's unlisted value.
+    where is the key path, used in every error message. Every declared
+    field must be given: a missing key, a key that no field declares and
+    a Literal field's unlisted value are all refused.
     """
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
             raise ValueError(f"{where or 'top-level value'} must be an object")
         in_where = f" in {where}" if where else ""
         kwargs = {}
-        for name, hint, optional in _fields(tp):
-            if name in value:
-                kwargs[name] = _from_json(hint, value[name], f"{where}.{name}" if where else name)
-            elif optional:
-                kwargs[name] = None
-            else:
+        for name, hint in _fields(tp):
+            if name not in value:
                 raise ValueError(f"missing key {name!r}{in_where}")
+            kwargs[name] = _from_json(hint, value[name], f"{where}.{name}" if where else name)
         unknown = [key for key in value if key not in kwargs]
         if unknown:
             raise ValueError(f"unknown key {unknown[0]!r}{in_where}")
@@ -334,4 +315,6 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    write_json(path, _to_json(cfg))
+    blob = json.loads(json.dumps(dataclasses.asdict(cfg)))  # the value load_config reads back: tuples are lists
+    _from_json(ExperimentConfig, blob)  # what load_config would refuse is refused here, before any file is written
+    write_json(path, blob)

@@ -56,19 +56,42 @@ def test_default_config_roundtrips(tmp_path):
     assert path.read_bytes() == (tmp_path / "again.json").read_bytes()
 
 
+def config_blob(cfg: ExperimentConfig):
+    """The JSON value save_config writes for cfg: its dataclasses.asdict, with tuples as lists."""
+    return json.loads(json.dumps(dataclasses.asdict(cfg)))
+
+
 def test_config_dict_roundtrip_preserves_everything():
     cfg = default_config()
-    assert config._from_json(ExperimentConfig, config._to_json(cfg)) == cfg
-    assert config._to_json(cfg)["schema_version"] == SCHEMA_VERSION
+    assert config._from_json(ExperimentConfig, config_blob(cfg)) == cfg
+    assert config_blob(cfg)["schema_version"] == SCHEMA_VERSION
 
-    no_roles = dataclasses.replace(cfg, classifier=None, detector=None)
-    blob = config._to_json(no_roles)
-    assert "classifier" not in blob and "detector" not in blob
-    assert config._from_json(ExperimentConfig, blob) == no_roles
+
+def test_save_config_refuses_what_load_config_refuses(tmp_path):
+    """A config that load_config would refuse is refused by save_config with the same message,
+    and no file is written: another version, a field of the wrong type, a missing role."""
+    cases = [
+        (dict(schema_version="dpn-exp-v9"), "unsupported schema_version 'dpn-exp-v9'"),
+        (dict(out_dir=5), "out_dir must be a string"),
+        (dict(detector=None), "detector must be an object"),
+    ]
+    for changes, message in cases:
+        cfg = dataclasses.replace(default_config(), **changes)
+        with pytest.raises(ValueError) as refused:
+            save_config(cfg, tmp_path / "config.json")
+        assert str(refused.value) == message
+        assert list(tmp_path.iterdir()) == []
+        # the file save_config would have written is refused by load_config for the same reason
+        path = tmp_path / "written.json"
+        path.write_text(json.dumps(config_blob(cfg)))
+        with pytest.raises(ValueError) as refused:
+            load_config(path)
+        assert str(refused.value) == f"{path}: {message}"
+        path.unlink()
 
 
 def test_config_rejects_other_schema_versions():
-    blob = config._to_json(default_config())
+    blob = config_blob(default_config())
     blob["schema_version"] = "dpn-exp-v1"
     with pytest.raises(ValueError, match="schema_version"):
         config._from_json(ExperimentConfig, blob)
@@ -78,7 +101,7 @@ def test_config_checks_its_version_before_any_other_key(tmp_path):
     """schema_version is read first: a file of another version is refused for its version, not for
     a key that version may name, and a file without one is refused for the missing key."""
     path = tmp_path / "config.json"
-    blob = config._to_json(default_config())
+    blob = config_blob(default_config())
     blob["schema_version"], blob["shifted_seed"] = "dpn-exp-v1", 5
     path.write_text(json.dumps(blob))
     with pytest.raises(ValueError) as refused:
@@ -152,7 +175,7 @@ def test_config_errors_name_the_key_path(tmp_path):
     ]
     file = tmp_path / "config.json"
     for path, value, message in cases:
-        blob = config._to_json(default_config())
+        blob = config_blob(default_config())
         holder = functools.reduce(operator.getitem, path[:-1], blob)
         if value is DELETE:
             del holder[path[-1]]
@@ -467,6 +490,16 @@ def test_gen_default_draws_are_pinned(tmp_path):
     assert digests == DEFAULT_DRAW_SHA256
 
 
+# SHA-256 of the config.json that README's walkthrough writes: save_config(default_config("runs/default"))
+DEFAULT_CONFIG_SHA256 = "ace4f33a553c1ecd0a73733f07f08066688bcfe8a8d6a56e47a474c8c18833b3"
+
+
+def test_default_config_bytes_are_pinned(tmp_path):
+    path = tmp_path / "config.json"
+    save_config(default_config("runs/default"), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_CONFIG_SHA256
+
+
 def test_train_writes_checkpoint_and_report(experiment):
     out = experiment["out"]
     for role in ("classifier", "detector"):
@@ -690,7 +723,7 @@ def test_cli_reports_broken_config(tmp_path, capsys):
     assert rc == 1
     assert "invalid JSON" in capsys.readouterr().err
 
-    blob = config._to_json(default_config(str(tmp_path / "run")))
+    blob = config_blob(default_config(str(tmp_path / "run")))
     blob["model"]["hidden"] = 32
     path.write_text(json.dumps(blob))
     rc = cli.main(["gen", "--config", str(path)])
@@ -947,15 +980,25 @@ def test_cli_refuses_checkpoint_whose_logits_overflow(experiment, tmp_path, caps
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-def test_train_refuses_config_without_the_role(experiment, tmp_path, capsys):
-    copy_run(experiment, tmp_path)
+def test_config_without_a_role_is_refused_at_load(experiment, tmp_path, capsys):
+    """Every command that reads a config refuses one without a role when it loads it, even a
+    command, or a train --role, that would not use that role, and writes nothing."""
+    ckpts = copy_run(experiment, tmp_path)
     cfg = tmp_path / "config.json"
-    save_config(dataclasses.replace(small_config(str(tmp_path)), detector=None), cfg)
+    blob = config_blob(default_config(str(tmp_path)))
+    del blob["detector"]
+    cfg.write_text(json.dumps(blob))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    capsys.readouterr()
-    assert cli.main(["train", "--config", str(cfg), "--role", "detector"]) == 1
-    assert capsys.readouterr().err == f"error: {cfg}: no settings for role 'detector'\n"
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    for argv in (
+        ["gen", "--config", str(cfg)],
+        ["train", "--config", str(cfg), "--role", "classifier"],
+        ["eval", "--config", str(cfg), *ckpts],
+        screen_argv(str(cfg), ckpts, tmp_path),
+    ):
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: missing key 'detector'\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("far_ood", ["missing", "malformed"])

@@ -7,16 +7,14 @@ inside a function or behind a skip is checked too.
 import ast
 import re
 import sys
+import tomllib
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).parents[1]
 
 
 def declared_modules() -> set:
     """The top-level names of pyproject.toml's dependencies and its test extra."""
-    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     requirements = [*project["dependencies"], *project["optional-dependencies"]["test"]]
     return {re.match(r"[\w.-]+", req).group().lower().replace("-", "_") for req in requirements}

@@ -5,9 +5,8 @@ import importlib
 import io
 import math
 import re
+import tomllib
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,7 +32,6 @@ def test_library_example_prints_a_mean_near_ln_3():
 
 def test_console_script_is_the_cli_main():
     """pyproject.toml's `dpnet` script, the command README's walkthrough runs, names dpnet.cli:main."""
-    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
     with open(ROOT / "pyproject.toml", "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts["dpnet"] == "dpnet.cli:main"
